@@ -48,6 +48,7 @@ from .immersion import (  # noqa: F401
     load_snapshot,
     normal_frame,
     save_snapshot,
+    scalar_fields,
     second_fundamental_form,
 )
 from .solutions import (  # noqa: F401

@@ -6,10 +6,10 @@ Exit codes: 0 success, 1 property violations, 2 blow-up cap stop,
 Every run writes a JSON manifest (atomically, last) recording the command
 line, the resolved configuration, RNG seeds, the package version, wall-clock
 duration and the list of output files; re-running with the same inputs
-reproduces all numeric outputs byte-for-byte.  ``--threads`` caps the worker
-count of the internal map-reduce (the numpy kernels are executed in a fixed
-order regardless, so results never depend on it) and falls back to the
-MCF_THREADS environment variable.
+reproduces all numeric outputs byte-for-byte.  ``--threads`` (falling back
+to the MCF_THREADS environment variable, then the core count) is only
+recorded in the manifest: every command runs in one process, in a fixed
+order, and nothing reads the value.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .flow import (
     write_diagnostics_csv,
 )
 from .grid import ParamGrid
-from .immersion import geometry_fields, load_snapshot, save_snapshot
+from .immersion import load_snapshot, save_snapshot, scalar_fields
 from .solutions import SolutionSpec, seed_immersion
 from .verify import SUITES, run_suite, write_report
 
@@ -193,6 +193,10 @@ def cmd_simulate(args) -> int:
         t_end = _resolve(args, "t_end", None, float)
         if t_end is None:
             raise _UsageError("--t-end is required")
+        # t_end == t0 records the seed alone (static diagnostics)
+        if not (math.isfinite(t0) and math.isfinite(t_end)) or t_end < t0:
+            raise _UsageError(f"--t-end must be finite and not before t0; "
+                              f"got t0={t0!r}, t_end={t_end!r}")
         out_dir = _resolve(args, "out", None, str)
         if not out_dir:
             raise _UsageError("--out is required")
@@ -323,28 +327,29 @@ def _add_report(sub):
 
 
 def _load_trajectory(in_dir: str) -> Trajectory:
+    """The run that wrote ``in_dir``: the snapshots its manifest lists, in
+    that order, with its diagnostics."""
     manifest_path = os.path.join(in_dir, "manifest.json")
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
         records = read_diagnostics_csv(os.path.join(in_dir, "diagnostics.csv"))
-        snaps = sorted(f for f in os.listdir(in_dir)
-                       if f.startswith("snap_") and f.endswith(".txt"))
+        snaps = [f for f in manifest["outputs"] if f.startswith("snap_")]
+        if not snaps:
+            raise ValueError("the manifest lists no snapshots")
         snapshots = [load_snapshot(os.path.join(in_dir, f)) for f in snaps]
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+        return Trajectory(snapshots=snapshots, diagnostics=records,
+                          mode=manifest.get("mode", "Forward"),
+                          T_singular=manifest.get("T_singular"),
+                          stop_reason=manifest.get("stop_reason", "t_end"))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise IOError(f"cannot load trajectory from {in_dir}: {exc}") from exc
-    if not snapshots:
-        raise IOError(f"no snapshots in {in_dir}")
-    return Trajectory(snapshots=snapshots, diagnostics=records,
-                      mode=manifest.get("mode", "Forward"),
-                      T_singular=manifest.get("T_singular"),
-                      stop_reason=manifest.get("stop_reason", "t_end"))
 
 
 def _rescaled_summary(result, path):
     lines = ["tau,maxH,maxRatio"]
     for snap in result.trajectory.snapshots:
-        gf = geometry_fields(snap)
+        gf = scalar_fields(snap)
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(gf.normH2 > 0, gf.normh2 / gf.normH2, np.inf)
         lines.append(f"{snap.t:.17g},{math.sqrt(gf.normH2.max()):.17g},"

@@ -1,17 +1,22 @@
 """Time integration of the curvature flow dF/dt = H and trajectory analysis.
 
 The stepper advances node positions with the mean curvature vector extracted
-by :mod:`mcflow.immersion`; explicit RK4 (default) or forward Euler.  On
-lat-long grids the velocity field passes through a zonal spectral filter that
-removes Fourier modes the meridional resolution cannot represent anyway (the
-cutoff at latitude row theta is  K(theta) = clip(round(N_lat sin theta), 2,
-N_lon / 2)).  Without the filter the pole-clustered zonal spacing forces an
-explicit time step smaller by a factor of sin(theta_min)^2, for no gain in
-accuracy; with it, modes above the cutoff receive zero velocity and therefore
-never move, while every resolved mode satisfies the step bound below.
+by :mod:`mcflow.immersion`; explicit RK4 (default) or forward Euler.  A run
+extracts each state once, with ``scalar_fields``: that validates it, bounds
+the step and the blow-up cap, gives the first RK stage and measures recorded
+states.  Later stages call ``mean_curvature_vector``; no flow code builds the
+full ``GeometryFields``.  On lat-long grids the velocity field passes through
+a zonal spectral filter that removes Fourier modes the meridional resolution
+cannot represent anyway (the cutoff at latitude row theta is K(theta) =
+clip(round(N_lat sin theta), 2, N_lon / 2)).  Without the filter the
+pole-clustered zonal spacing forces an explicit time step smaller by a factor
+of sin(theta_min)^2, for no gain in accuracy; with it, modes above the cutoff
+receive zero velocity and therefore never move, while every resolved mode
+satisfies the step bound below.
 
 Step size.  With s_eff the per-node, per-direction effective ambient spacing
-(zonal spacings are widened by N_lon / (2 K(theta)), so the shortest KEPT
+(the distance to the next node, read from the extraction's ghost layers;
+zonal spacings are widened by N_lon / (2 K(theta)), so the shortest KEPT
 zonal wavelength counts, not the raw pole-clustered spacing):
 
     dt = cfl * s_min^2 / (2 n (1 + max|h|^2 * s_min^2)),   s_min = min s_eff.
@@ -37,14 +42,14 @@ import numpy as np
 
 from .curvature import PinchSpec
 from .errors import DegenerateGeometryError, MinimalPointError
-from .grid import ParamGrid, shift_positions
+from .grid import ParamGrid
 from .immersion import (
     DiscreteImmersion,
-    GeometryFields,
+    ScalarFields,
     gauss_curvature_field,
-    geometry_fields,
     integrate,
     mean_curvature_vector,
+    scalar_fields,
 )
 
 __all__ = [
@@ -187,34 +192,34 @@ def _polar_filter(grid: ParamGrid, vel: np.ndarray) -> np.ndarray:
     return np.fft.irfft(spec, n=vel.shape[1], axis=1)
 
 
-def _velocity(im: DiscreteImmersion, gf: GeometryFields | None = None) -> np.ndarray:
-    vel = gf.Hvec if gf is not None else mean_curvature_vector(im)
-    return _polar_filter(im.grid, vel)
+def _velocity(im: DiscreteImmersion) -> np.ndarray:
+    return _polar_filter(im.grid, mean_curvature_vector(im))
 
 
-def _effective_spacing_sq_min(im: DiscreteImmersion) -> float:
-    grid = im.grid
-    s2min = math.inf
-    cut = _zonal_cutoffs(grid) if grid.topology == "LatLongSphere" else None
-    for axis in range(grid.ndim):
-        nbr = shift_positions(grid, im.positions, axis, 1, im.wrap_offsets)
+def _effective_spacing_sq(im: DiscreteImmersion, sf: ScalarFields) -> list[np.ndarray]:
+    """Squared forward spacing per axis and node, zonal spacings widened.  The
+    neighbours come from the extraction's ghost layers: the node after the
+    last one along an axis is its first ghost."""
+    grid, out = im.grid, []
+    for axis, pad in enumerate(sf.pads):
+        nbr = pad[(slice(None),) * axis + (slice(3, -1),)]
         ds2 = np.einsum("...x,...x->...", nbr - im.positions, nbr - im.positions)
-        if cut is not None and axis == 1:
-            widen = (grid.res[1] / (2.0 * cut)) ** 2
+        if axis == 1 and grid.topology == "LatLongSphere":
+            widen = (grid.res[1] / (2.0 * _zonal_cutoffs(grid))) ** 2
             ds2 = ds2 * widen[:, None]
-        s2min = min(s2min, float(ds2.min()))
-    return s2min
+        out.append(ds2)
+    return out
 
 
-def _dt_bound(im: DiscreteImmersion, cfl: float, gf: GeometryFields) -> float:
-    s2 = _effective_spacing_sq_min(im)
-    hmax = float(gf.normh2.max())
+def _dt_bound(im: DiscreteImmersion, cfl: float, sf: ScalarFields) -> float:
+    s2 = min(float(ds2.min()) for ds2 in _effective_spacing_sq(im, sf))
+    hmax = float(sf.normh2.max())
     return cfl * s2 / (2.0 * im.n * (1.0 + hmax * s2))
 
 
 def cfl_dt(im: DiscreteImmersion, cfl: float) -> float:
     """Parabolic step bound; see the module docstring for the exact formula."""
-    return _dt_bound(im, cfl, geometry_fields(im))
+    return _dt_bound(im, cfl, scalar_fields(im))
 
 
 def step(im: DiscreteImmersion, dt: float, integrator: str = "RK4",
@@ -244,25 +249,26 @@ def step(im: DiscreteImmersion, dt: float, integrator: str = "RK4",
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def fsigma_integral(im: DiscreteImmersion, sigma: float, p: float,
-                    gf: GeometryFields | None = None) -> tuple[float, float]:
-    """(integral of f_sigma^p, max f_sigma) with f_sigma = |h0|^2 / |H|^(2(1-sigma)).
-
-    Raises MinimalPointError when any node's |H|^2 falls below 1e-14 times the
-    maximum, where the functional degenerates.
-    """
+def _fsigma(im: DiscreteImmersion, sigma: float, gf: ScalarFields | None):
+    """(extraction, f_sigma field); MinimalPointError when any node's |H|^2
+    falls below 1e-14 times the maximum, where the functional degenerates."""
     if gf is None:
-        gf = geometry_fields(im)
+        gf = scalar_fields(im)
     hmax = float(gf.normH2.max())
     if hmax <= 0 or float(gf.normH2.min()) < 1e-14 * hmax:
         raise MinimalPointError("f_sigma undefined near minimal points (|H| ~ 0)")
-    f = gf.normh02 / gf.normH2 ** (1.0 - sigma)
-    phi = integrate(im, f ** p, gf)
-    return phi, float(f.max())
+    return gf, gf.normh02 / gf.normH2 ** (1.0 - sigma)
+
+
+def fsigma_integral(im: DiscreteImmersion, sigma: float, p: float,
+                    gf: ScalarFields | None = None) -> tuple[float, float]:
+    """(integral of f_sigma^p, max f_sigma) with f_sigma = |h0|^2 / |H|^(2(1-sigma))."""
+    gf, f = _fsigma(im, sigma, gf)
+    return integrate(im, f ** p, gf), float(f.max())
 
 
 def fsigma_scaling_report(im: DiscreteImmersion, sigma: float, p: float,
-                          gf: GeometryFields | None = None):
+                          gf: ScalarFields | None = None):
     """Report-only comparison of the two sides of the interpolation step.
 
     With gamma = 1 + 2/(sigma p), returns (integral of f_sigma^(gamma p),
@@ -270,13 +276,8 @@ def fsigma_scaling_report(im: DiscreteImmersion, sigma: float, p: float,
     differently under dilation, so no inequality between them is asserted
     anywhere; this exists to make the comparison inspectable.
     """
-    if gf is None:
-        gf = geometry_fields(im)
-    hmax = float(gf.normH2.max())
-    if hmax <= 0 or float(gf.normH2.min()) < 1e-14 * hmax:
-        raise MinimalPointError("comparison undefined near minimal points")
+    gf, f = _fsigma(im, sigma, gf)
     gamma = 1.0 + 2.0 / (sigma * p)
-    f = gf.normh02 / gf.normH2 ** (1.0 - sigma)
     lhs = integrate(im, f ** (gamma * p), gf)
     rhs = integrate(im, gf.normH2 * f ** p, gf)
     return lhs, rhs, (lhs / rhs if rhs > 0 else math.inf)
@@ -284,13 +285,15 @@ def fsigma_scaling_report(im: DiscreteImmersion, sigma: float, p: float,
 
 def diagnostics(im: DiscreteImmersion, mode: str = "Forward",
                 T: Optional[float] = None, pinch: Optional[PinchSpec] = None,
-                sigma: float = 0.1, p: float = 10.0) -> DiagnosticsRecord:
+                sigma: float = 0.1, p: float = 10.0,
+                fields: ScalarFields | None = None) -> DiagnosticsRecord:
     """All scalar functionals of one time slice.
 
     ``T`` is the (estimated) singular time and is only used in Forward mode;
-    the type-I quantity is NaN when it is unknown.
+    the type-I quantity is NaN when it is unknown.  ``fields`` is an
+    extraction of ``im`` already made; without it one is made here.
     """
-    gf = geometry_fields(im)
+    gf = fields if fields is not None else scalar_fields(im)
     if pinch is None:
         pinch = PinchSpec(c=4.0 / (3.0 * im.n))
     ones = np.ones(im.grid.res)
@@ -332,49 +335,46 @@ def _estimate_singular_time(times: np.ndarray, maxH2: np.ndarray) -> Optional[fl
 def run(seed: DiscreteImmersion, config: FlowConfig, mode: str = "Forward") -> Trajectory:
     """Flow a seed immersion until t_end, max_steps, blow-up cap, or geometry
     degeneracy; snapshots and diagnostics are recorded every
-    ``snapshot_every`` steps and at both endpoints.
+    ``snapshot_every`` steps and at both endpoints, each record measured from
+    the extraction that validated its state.
 
-    Mid-run degeneracy aborts with the last good snapshot (recorded states are
-    always extraction-verified first); a seed that fails extraction raises.
+    Mid-run degeneracy aborts with the last good snapshot; a seed that fails
+    extraction raises.
     """
     im = seed.copy()
-    snapshots = [im.copy()]
+    sf = scalar_fields(im)
+    snapshots, pre = [], []
+
+    def record(state: DiscreteImmersion, fields: ScalarFields) -> None:
+        snapshots.append(state.copy())
+        pre.append(diagnostics(state, mode="Ancient", pinch=config.pinch,
+                               sigma=config.sigma, p=config.p, fields=fields))
+
+    record(im, sf)
     stop_reason = "t_end"
     steps = 0
-    record_due = False
     t_end = config.t_end
     while im.t < t_end - 1e-15 and steps < config.max_steps:
+        if float(sf.normh2.max()) > config.stop_on_blowup:
+            stop_reason = "blowup"
+            break
         try:
-            gf = geometry_fields(im)   # validates the current state
-            if record_due:
-                snapshots.append(im.copy())
-                record_due = False
-            if float(gf.normh2.max()) > config.stop_on_blowup:
-                if snapshots[-1].t < im.t:
-                    snapshots.append(im.copy())
-                stop_reason = "blowup"
-                break
-            dt = min(_dt_bound(im, config.cfl, gf), t_end - im.t)
-            im = step(im, dt, config.integrator,
-                      first_stage_velocity=_velocity(im, gf))
+            dt = min(_dt_bound(im, config.cfl, sf), t_end - im.t)
+            nxt = step(im, dt, config.integrator,
+                       first_stage_velocity=_polar_filter(im.grid, sf.Hvec))
+            sf = scalar_fields(nxt)
         except DegenerateGeometryError:
             stop_reason = "degenerate"
-            im = snapshots[-1]
             break
+        im = nxt
         steps += 1
         if steps % config.snapshot_every == 0:
-            record_due = True
+            record(im, sf)
     if steps >= config.max_steps and im.t < t_end - 1e-15 and stop_reason == "t_end":
         stop_reason = "max_steps"
     if stop_reason != "degenerate" and snapshots[-1].t < im.t:
-        try:
-            geometry_fields(im)
-            snapshots.append(im.copy())
-        except DegenerateGeometryError:
-            stop_reason = "degenerate"
+        record(im, sf)
 
-    pre = [diagnostics(s, mode="Ancient", pinch=config.pinch,
-                       sigma=config.sigma, p=config.p) for s in snapshots]
     T = None
     if mode == "Forward":
         T = _estimate_singular_time(np.array([r.t for r in pre]),
@@ -456,8 +456,7 @@ def blowup_type2(traj: Trajectory, window: Optional[tuple[float, float]] = None
 
     best = None  # (-q, t, flat_index, normH2_at_node, position)
     for s in snaps:
-        gf = geometry_fields(s)
-        h2 = gf.normH2.reshape(-1)
+        h2 = scalar_fields(s).normH2.reshape(-1)
         idx = int(np.argmax(h2))
         q = weight(s.t) * float(h2[idx])
         key = (-q, s.t, idx)

@@ -17,6 +17,9 @@ stencil:
                   tensors with theta indices flip sign under that reflection;
                   gathers take an optional sign array for this.
 
+Every gather goes through :func:`pad2`, which adds two ghost layers along one
+axis; the stencils, and the flow's step bound, slice the padded array.
+
 With the half-step latitude offset the node set is a uniform grid on the
 double cover, so sums of smooth fields against sqrt(det g) are trapezoidal
 rules on a torus: integration is spectrally accurate.
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ParamGrid", "pad2", "shift_positions", "stencil_d1", "stencil_d2"]
+__all__ = ["ParamGrid", "pad2", "stencil_d1", "stencil_d2"]
 
 TOPOLOGIES = ("Circle", "Torus2", "LatLongSphere")
 
@@ -78,56 +81,6 @@ class ParamGrid:
         if self.topology != "LatLongSphere":
             raise ValueError("theta_values only applies to LatLongSphere grids")
         return (np.arange(self.res[0]) + 0.5) * self.spacing[0]
-
-
-def _shift_periodic(field: np.ndarray, axis: int, s: int,
-                    wrap_offset: np.ndarray | None) -> np.ndarray:
-    out = np.roll(field, -s, axis=axis)
-    if wrap_offset is not None and s != 0:
-        out = out.copy()
-        npts = field.shape[axis]
-        sl = [slice(None)] * field.ndim
-        if s > 0:
-            sl[axis] = slice(npts - s, None)
-            out[tuple(sl)] += wrap_offset
-        else:
-            sl[axis] = slice(None, -s)
-            out[tuple(sl)] -= wrap_offset
-    return out
-
-
-def _shift_polar(field: np.ndarray, s: int, nlon: int, theta_sign) -> np.ndarray:
-    """Latitude shift with reflection across the poles.
-
-    field has shape (n_theta, n_phi, ...); rows pushed past a pole come back
-    from the same side with the longitude rolled by half a period, multiplied
-    by theta_sign (broadcast over trailing dims) when given.
-    """
-    n0 = field.shape[0]
-    idx = np.arange(n0) + s
-    refl = (idx < 0) | (idx >= n0)
-    src = idx.copy()
-    src[idx < 0] = -1 - idx[idx < 0]
-    src[idx >= n0] = 2 * n0 - 1 - idx[idx >= n0]
-    out = field[src]
-    if refl.any():
-        out = out.copy()
-        reflected = np.roll(field[src[refl]], -(nlon // 2), axis=1)
-        if theta_sign is not None:
-            reflected = reflected * theta_sign
-        out[refl] = reflected
-    return out
-
-
-def shift_positions(grid: ParamGrid, positions: np.ndarray, axis: int, s: int,
-                    wrap_offsets: dict[int, np.ndarray] | None = None) -> np.ndarray:
-    """Gather raw positions, honouring ambient wrap offsets on periodic axes."""
-    if s == 0:
-        return positions
-    if grid.topology == "LatLongSphere" and axis == 0:
-        return _shift_polar(positions, s, grid.res[1], None)
-    offset = None if not wrap_offsets else wrap_offsets.get(axis)
-    return _shift_periodic(positions, axis, s, offset)
 
 
 def _reflect_row(row: np.ndarray, nlon: int, theta_sign) -> np.ndarray:

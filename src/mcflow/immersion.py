@@ -1,11 +1,15 @@
 """Discrete immersions on structured grids and finite-difference geometry.
 
 An immersion F: M^n -> R^(n+k) is stored as positions on a ParamGrid.  All
-extraction is stencil-based: fourth-order central differences for the Jacobian
-and Hessian, with the induced metric g = jac^T jac, the normal projector
-P = I - jac g^(-1) jac^T, and the ambient-vector-valued second fundamental
-form  hvec_ij = P d2F/du_i du_j  (normal projection removes all tangential
-terms, so no Christoffel correction is needed for h itself).
+extraction starts from one core: ghost-padded positions, fourth-order central
+differences for the Jacobian and d2F/du_i du_j, and the induced metric
+g = jac^T jac in closed form with its condition check.  On it sit
+``mean_curvature_vector`` (the velocity alone), ``scalar_fields`` (H, |H|^2,
+|h|^2, det g: the flow's per-step kernel, which projects each second
+derivative without forming P = I - jac g^(-1) jac^T) and ``geometry_fields``
+(for frames, covariant gradients and the pointwise API: adds P and the
+ambient-valued second fundamental form hvec_ij = P d2F/du_i du_j; normal
+projection removes all tangential terms, so h needs no Christoffel term).
 
 Covariant gradients are assembled gauge-free: h is differentiated as an
 ambient-vector field and projected, so no smooth normal frame is needed, and
@@ -32,6 +36,8 @@ __all__ = [
     "DiscreteImmersion",
     "mean_curvature_vector",
     "PointGeometry",
+    "ScalarFields",
+    "scalar_fields",
     "GeometryFields",
     "geometry_fields",
     "jacobian_metric",
@@ -111,51 +117,109 @@ class PointGeometry:
 
 
 @dataclass(frozen=True)
-class GeometryFields:
-    """Vectorised geometry over the whole grid (ambient-valued, frame-free)."""
+class ScalarFields:
+    """Per-node curvature scalars and the flow velocity of one extraction."""
 
-    jac: np.ndarray        # (*res, n+k, n)
-    g: np.ndarray          # (*res, n, n)
-    ginv: np.ndarray
+    pads: tuple            # per axis a, positions with pad2 ghosts along a
     detg: np.ndarray       # (*res,)
-    proj: np.ndarray       # (*res, n+k, n+k) normal projector
-    hvec: np.ndarray       # (*res, n, n, n+k) ambient-valued SFF
     Hvec: np.ndarray       # (*res, n+k) mean curvature vector
     normH2: np.ndarray     # (*res,)
     normh2: np.ndarray     # (*res,)
 
     @property
     def normh02(self) -> np.ndarray:
-        n = self.g.shape[-1]
-        return self.normh2 - self.normH2 / n
+        return self.normh2 - self.normH2 / len(self.pads)
 
 
-def _metric_inverse(g: np.ndarray, n: int):
-    """Closed-form inverse, determinant and condition number for n <= 2."""
-    if n == 1:
-        detg = g[..., 0, 0]
-        ginv = 1.0 / detg
-        return ginv[..., None, None], detg, np.ones_like(detg)
-    if n == 2:
-        a, b, c = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
-        detg = a * c - b * b
-        tr = a + c
-        disc = np.sqrt(np.maximum(tr * tr - 4.0 * detg, 0.0))
-        lam_max = (tr + disc) / 2.0
-        lam_min = (tr - disc) / 2.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cond = np.where(lam_min > 0, lam_max / lam_min, np.inf)
-        ginv = np.empty_like(g)
-        ginv[..., 0, 0] = c
-        ginv[..., 1, 1] = a
-        ginv[..., 0, 1] = -b
-        ginv[..., 1, 0] = -b
-        # a degenerate metric is reported through the condition number; the
-        # division may legitimately produce inf/nan before the caller raises
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ginv = ginv / detg[..., None, None]
-        return ginv, detg, cond
-    raise ValueError("only n <= 2 immersions are meshed")
+@dataclass(frozen=True)
+class GeometryFields(ScalarFields):
+    """Vectorised geometry over the whole grid (ambient-valued, frame-free)."""
+
+    jac: np.ndarray        # (*res, n+k, n)
+    g: np.ndarray          # (*res, n, n)
+    ginv: np.ndarray
+    proj: np.ndarray       # (*res, n+k, n+k) normal projector
+    hvec: np.ndarray       # (*res, n, n, n+k) ambient-valued SFF
+
+
+@dataclass(frozen=True)
+class _Extraction:
+    """The data every front end starts from, as per-node arrays.  Vectors are
+    stored components first, (n+k, *res), so that scaling one by a scalar
+    field and dotting two are contiguous sweeps.  Index pairs are nested
+    lists whose symmetric entries share one array."""
+
+    pads: tuple
+    cols: list             # cols[a] = dF/du_a
+    g: list                # g[a][b] = cols[a] . cols[b]
+    ginv: list
+    detg: np.ndarray
+    d2: list               # d2[a][b] = d2F/du_a du_b
+
+
+def _components_first(v: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(np.moveaxis(v, -1, 0))
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per-node dot product of two components-first vector fields."""
+    return np.einsum("x...,x...->...", u, v)
+
+
+def _square(m: list) -> np.ndarray:
+    """Nested n x n list of per-node arrays as one (*res, n, n) array."""
+    return np.stack([np.stack(row, axis=-1) for row in m], axis=-2)
+
+
+def _metric(cols: list):
+    """Closed-form metric, inverse, determinant and condition number for n <= 2."""
+    if len(cols) == 1:
+        g00 = _dot(cols[0], cols[0])
+        with np.errstate(divide="ignore"):
+            return [[g00]], [[1.0 / g00]], g00, np.where(g00 > 0, 1.0, np.inf)
+    a, b, c = _dot(cols[0], cols[0]), _dot(cols[0], cols[1]), _dot(cols[1], cols[1])
+    detg, tr = a * c - b * b, a + c
+    disc = np.sqrt(np.maximum(tr * tr - 4.0 * detg, 0.0))
+    lam_max, lam_min = (tr + disc) / 2.0, (tr - disc) / 2.0
+    # a degenerate metric is reported through the condition number; the
+    # divisions may legitimately produce inf/nan before the caller raises
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(lam_min > 0, lam_max / lam_min, np.inf)
+        off = -b / detg
+        ginv = [[c / detg, off], [off, a / detg]]
+    return [[a, b], [b, c]], ginv, detg, cond
+
+
+def _extract(im: DiscreteImmersion) -> _Extraction:
+    """The one extraction core: pads, Jacobian, metric with its condition
+    check, and the second derivatives of the positions."""
+    grid, pos, nd = im.grid, im.positions, im.n
+    pads = tuple(pad2(grid, pos, a, positions=True, wrap_offsets=im.wrap_offsets)
+                 for a in range(nd))
+    jac = [stencil_d1(grid, pos, a, order=4, padded=pads[a]) for a in range(nd)]
+    cols = [_components_first(c) for c in jac]
+    g, ginv, detg, cond = _metric(cols)
+    worst = float(np.max(cond))
+    if not np.isfinite(worst) or worst > CONDITION_CAP:
+        raise DegenerateGeometryError(
+            f"metric condition number {worst:.3e} exceeds {CONDITION_CAP:.0e}"
+        )
+    d00 = _components_first(stencil_d2(grid, pos, 0, padded=pads[0]))
+    if nd == 1:
+        return _Extraction(pads, cols, g, ginv, detg, [[d00]])
+    # dF/du_1 has no wrap offset and no pole sign flip, so it pads like any
+    # derived field
+    d01 = _components_first(stencil_d1(grid, jac[1], 0, order=4))
+    d11 = _components_first(stencil_d2(grid, pos, 1, padded=pads[1]))
+    return _Extraction(pads, cols, g, ginv, detg, [[d00, d01], [d01, d11]])
+
+
+def _normal_part(ext: _Extraction, v: np.ndarray) -> np.ndarray:
+    """v - jac g^(-1) jac^T v, without forming the projector."""
+    w = [_dot(col, v) for col in ext.cols]
+    for col, row in zip(ext.cols, ext.ginv):
+        v = v - col * sum(gab * wb for gab, wb in zip(row, w))
+    return v
 
 
 def _isqrt_metric(g: np.ndarray, detg: np.ndarray, n: int) -> np.ndarray:
@@ -173,84 +237,62 @@ def _isqrt_metric(g: np.ndarray, detg: np.ndarray, n: int) -> np.ndarray:
     return out / s[..., None, None]
 
 
+def _scalar_fields(ext: _Extraction) -> ScalarFields:
+    if len(ext.cols) == 1:
+        Hvec = ext.ginv[0][0] * _normal_part(ext, ext.d2[0][0])
+        normh2 = _dot(Hvec, Hvec)
+    else:
+        h00, h01, h11 = (_normal_part(ext, ext.d2[a][b]) for a, b in ((0, 0), (0, 1), (1, 1)))
+        (A, B), (_, C) = ext.ginv
+        # raise the first index, U^a_j = g^{ai} h_ij: its trace is H and
+        # U^a_j . U^j_a summed over (a, j) is |h|^2
+        u00, u01 = A * h00 + B * h01, A * h01 + B * h11
+        u10, u11 = B * h00 + C * h01, B * h01 + C * h11
+        Hvec = u00 + u11
+        normh2 = _dot(u00, u00) + 2.0 * _dot(u01, u10) + _dot(u11, u11)
+    return ScalarFields(pads=ext.pads, detg=ext.detg, Hvec=np.moveaxis(Hvec, 0, -1),
+                        normH2=_dot(Hvec, Hvec), normh2=normh2)
+
+
+def scalar_fields(im: DiscreteImmersion) -> ScalarFields:
+    """H, |H|^2, |h|^2 and det g over the whole grid: the per-step kernel.
+
+    Each second derivative is projected on its own, so neither the projector
+    nor the full second fundamental form tensor is formed.
+    """
+    return _scalar_fields(_extract(im))
+
+
 def geometry_fields(im: DiscreteImmersion) -> GeometryFields:
-    """Extract first and second fundamental data over the whole grid."""
-    grid, pos, off = im.grid, im.positions, im.wrap_offsets
+    """Full first and second fundamental data over the whole grid, for frames,
+    covariant gradients and the pointwise API.  The scalars and H are those of
+    :func:`scalar_fields`; hvec_ij = P d2F/du_i du_j adds the projector."""
+    ext = _extract(im)
     nd, amb = im.n, im.ambient_dim
-
-    pads = [pad2(grid, pos, a, positions=True, wrap_offsets=off) for a in range(nd)]
-    jac = np.stack(
-        [stencil_d1(grid, pos, a, order=4, padded=pads[a]) for a in range(nd)],
-        axis=-1,
-    )
-    g = np.swapaxes(jac, -1, -2) @ jac
-    ginv, detg, cond = _metric_inverse(g, nd)
-    worst = float(np.max(cond))
-    if not np.isfinite(worst) or worst > CONDITION_CAP:
-        raise DegenerateGeometryError(
-            f"metric condition number {worst:.3e} exceeds {CONDITION_CAP:.0e}"
-        )
-
+    jac = np.stack([np.moveaxis(c, 0, -1) for c in ext.cols], axis=-1)
+    ginv = _square(ext.ginv)
     proj = np.eye(amb) - (jac @ ginv) @ np.swapaxes(jac, -1, -2)
-
-    d2 = {}
-    for a in range(nd):
-        d2[(a, a)] = stencil_d2(grid, pos, a, padded=pads[a])
-        for b in range(a + 1, nd):
-            inner = stencil_d1(grid, pos, b, order=4, padded=pads[b])
-            d2[(a, b)] = stencil_d1(grid, inner, a, order=4)
-
-    hvec = np.empty(grid.res + (nd, nd, amb))
+    hvec = np.empty(im.grid.res + (nd, nd, amb))
     for a in range(nd):
         for b in range(a, nd):
-            proj_d2 = np.einsum("...xy,...y->...x", proj, d2[(a, b)])
-            hvec[..., a, b, :] = proj_d2
-            if b != a:
-                hvec[..., b, a, :] = proj_d2
-
-    # raise the first index: U^a_{jx} = g^{ai} hvec_{ijx}; the trace over (a, j)
-    # is the mean curvature vector and U contracted against itself transposed
-    # gives |h|^2 (both indices raised, symmetry of hvec).
-    up = (ginv @ hvec.reshape(grid.res + (nd, nd * amb))).reshape(hvec.shape)
-    Hvec = np.trace(up, axis1=-3, axis2=-2)
-    normH2 = np.einsum("...x,...x->...", Hvec, Hvec)
-    normh2 = np.sum(up * np.swapaxes(up, -3, -2), axis=(-3, -2, -1))
-    return GeometryFields(jac=jac, g=g, ginv=ginv, detg=detg, proj=proj,
-                          hvec=hvec, Hvec=Hvec, normH2=normH2, normh2=normh2)
+            hvec[..., a, b, :] = hvec[..., b, a, :] = np.einsum(
+                "...xy,y...->...x", proj, ext.d2[a][b])
+    return GeometryFields(**vars(_scalar_fields(ext)), jac=jac, g=_square(ext.g),
+                          ginv=ginv, proj=proj, hvec=hvec)
 
 
 def mean_curvature_vector(im: DiscreteImmersion) -> np.ndarray:
     """The flow velocity field only: H = P (g^{ij} d2F/du_i du_j).
 
-    Projecting after the trace skips the full second-fundamental-form tensor;
-    this is the hot path of time stepping.
+    Projecting after the trace skips the second fundamental form; this is the
+    kernel of the later Runge-Kutta stages.
     """
-    grid, pos, off = im.grid, im.positions, im.wrap_offsets
-    nd = im.n
-    pads = [pad2(grid, pos, a, positions=True, wrap_offsets=off) for a in range(nd)]
-    jac = np.stack(
-        [stencil_d1(grid, pos, a, order=4, padded=pads[a]) for a in range(nd)],
-        axis=-1,
-    )
-    g = np.swapaxes(jac, -1, -2) @ jac
-    ginv, _, cond = _metric_inverse(g, nd)
-    worst = float(np.max(cond))
-    if not np.isfinite(worst) or worst > CONDITION_CAP:
-        raise DegenerateGeometryError(
-            f"metric condition number {worst:.3e} exceeds {CONDITION_CAP:.0e}"
-        )
-    if nd == 1:
-        tr = ginv[..., 0, 0, None] * stencil_d2(grid, pos, 0, padded=pads[0])
-    else:
-        d00 = stencil_d2(grid, pos, 0, padded=pads[0])
-        d11 = stencil_d2(grid, pos, 1, padded=pads[1])
-        inner = stencil_d1(grid, pos, 1, order=4, padded=pads[1])
-        d01 = stencil_d1(grid, inner, 0, order=4)
-        tr = (ginv[..., 0, 0, None] * d00 + 2.0 * ginv[..., 0, 1, None] * d01
-              + ginv[..., 1, 1, None] * d11)
-    w = np.einsum("...xi,...x->...i", jac, tr)
-    u = np.einsum("...ij,...j->...i", ginv, w)
-    return tr - np.einsum("...xi,...i->...x", jac, u)
+    ext = _extract(im)
+    gi, d2 = ext.ginv, ext.d2
+    tr = gi[0][0] * d2[0][0]
+    if im.n == 2:
+        tr = tr + 2.0 * gi[0][1] * d2[0][1] + gi[1][1] * d2[1][1]
+    return np.moveaxis(_normal_part(ext, tr), 0, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -418,22 +460,22 @@ def covariant_gradients(im: DiscreteImmersion, node) -> tuple[float, float]:
     return float(gradh2[node]), float(gradH2[node])
 
 
-def integrate(im: DiscreteImmersion, field_values, gf: GeometryFields | None = None) -> float:
+def integrate(im: DiscreteImmersion, field_values, gf: ScalarFields | None = None) -> float:
     """Integral of a nodal scalar field against the induced area measure."""
     if gf is None:
-        gf = geometry_fields(im)
+        gf = _extract(im)
     field_values = np.asarray(field_values, dtype=float)
     if field_values.shape != tuple(im.grid.res):
         raise ValueError("field shape does not match the grid")
     return float(np.sum(field_values * np.sqrt(gf.detg)) * im.grid.cell_volume())
 
 
-def gauss_curvature_field(im: DiscreteImmersion, gf: GeometryFields | None = None) -> np.ndarray:
+def gauss_curvature_field(im: DiscreteImmersion, gf: ScalarFields | None = None) -> np.ndarray:
     """Gauss curvature of a surface (n = 2): half the flat-ambient scalar curvature."""
     if im.n != 2:
         raise ValueError("Gauss curvature requires n = 2")
     if gf is None:
-        gf = geometry_fields(im)
+        gf = scalar_fields(im)
     return (gf.normH2 - gf.normh2) / 2.0
 
 

@@ -31,10 +31,11 @@ from mcflow.flow import (
     read_diagnostics_csv,
     synthetic_trajectory,
     write_diagnostics_csv,
+    _effective_spacing_sq,
     _polar_filter,
     _zonal_cutoffs,
 )
-from mcflow.immersion import geometry_fields
+from mcflow.immersion import geometry_fields, scalar_fields
 
 
 def sphere_seed(res=(32, 64), k=1, radius=1.0, amp=0.0, mode=2, t=0.0):
@@ -125,6 +126,43 @@ class TestCflDt:
         im = sphere_seed((64, 128))
         assert cfl_dt(im, 0.2) == cfl_dt(im.copy(), 0.2)
 
+    @staticmethod
+    def rolled_spacing_sq(im):
+        """Reference spacings: each node's forward neighbour gathered with
+        np.roll, fixed up across the south pole and the wrap seam."""
+        grid, pos = im.grid, im.positions
+        out = []
+        for axis in range(grid.ndim):
+            nbr = np.roll(pos, -1, axis=axis)
+            last = (slice(None),) * axis + (-1,)
+            if grid.topology == "LatLongSphere" and axis == 0:
+                nbr[-1] = np.roll(pos[-1], -(grid.res[1] // 2), axis=0)
+            elif im.wrap_offsets and axis in im.wrap_offsets:
+                nbr[last] = nbr[last] + im.wrap_offsets[axis]
+            d = nbr - pos
+            ds2 = np.einsum("...x,...x->...", d, d)
+            if grid.topology == "LatLongSphere" and axis == 1:
+                ds2 = ds2 * ((grid.res[1] / (2.0 * _zonal_cutoffs(grid))) ** 2)[:, None]
+            out.append(ds2)
+        return out
+
+    @pytest.mark.parametrize("case", ["perturbed-sphere", "cylinder", "circle"])
+    def test_pad_spacing_matches_rolled_reference(self, case):
+        if case == "perturbed-sphere":
+            im = sphere_seed((16, 32), k=2, amp=0.05, mode=3)
+        elif case == "cylinder":
+            grid = ParamGrid("Torus2", (16, 16))
+            spec = SolutionSpec(kind="Cylinder", n=2, k=1, m=1, flat_length=3.5)
+            im = seed_immersion(spec, grid, 0.25)
+            assert im.wrap_offsets
+        else:
+            im = circle_seed(res=64)
+        got = _effective_spacing_sq(im, scalar_fields(im))
+        ref = self.rolled_spacing_sq(im)
+        assert len(got) == len(ref) == im.n
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+
 
 class TestPolarFilter:
     def test_low_modes_pass_untouched(self):
@@ -188,19 +226,21 @@ class TestRun:
 
     def test_mid_run_degeneracy_keeps_last_good_snapshot(self, monkeypatch):
         import mcflow.flow as flow_mod
-        real = flow_mod.geometry_fields
+        real = flow_mod.scalar_fields
         calls = {"n": 0}
 
         def flaky(im, *args, **kwargs):
+            # the run extracts the seed, then each stepped state once
             calls["n"] += 1
-            if calls["n"] == 31:   # one mid-run failure; later record passes succeed
+            if calls["n"] == 31:   # the state after step 30 fails to extract
                 raise flow_mod.DegenerateGeometryError("synthetic collapse")
             return real(im, *args, **kwargs)
 
-        monkeypatch.setattr(flow_mod, "geometry_fields", flaky)
+        monkeypatch.setattr(flow_mod, "scalar_fields", flaky)
         traj = run(sphere_seed((16, 32)), FlowConfig(t_end=0.2, snapshot_every=5))
         assert traj.stop_reason == "degenerate"
-        assert len(traj.snapshots) >= 1
+        # records at steps 0, 5, ..., 25; step 30 never became a good state
+        assert len(traj.snapshots) == len(traj.diagnostics) == 6
         # every recorded slice has usable diagnostics
         assert all(np.isfinite(r.area) for r in traj.diagnostics)
 

@@ -25,8 +25,10 @@ from mcflow.immersion import (
     covariant_gradient_fields,
     gauss_curvature_field,
     geometry_fields,
+    mean_curvature_vector,
     normal_frame_field,
     point_curvature_field,
+    scalar_fields,
 )
 from conftest import donut_torus, ellipsoid_of_revolution
 
@@ -79,8 +81,57 @@ class TestJacobianMetric:
         pos[..., 0] = np.cos(u)[:, None]
         pos[..., 1] = np.sin(u)[:, None]  # degenerate: constant along axis 1
         im = DiscreteImmersion(grid=grid, n=2, k=1, positions=pos, t=0.0)
-        with pytest.raises(DegenerateGeometryError):
-            geometry_fields(im)
+        for extract in (geometry_fields, scalar_fields, mean_curvature_vector):
+            with pytest.raises(DegenerateGeometryError, match="condition number"):
+                extract(im)
+
+
+def _seed(topology, res, spec, t=0.0):
+    return seed_immersion(spec, ParamGrid(topology, res), t)
+
+
+KERNEL_CASES = {
+    "circle": lambda: _seed("Circle", (64,), SolutionSpec(kind="Sphere", n=1, k=2, radius=2.0)),
+    "cylinder": lambda: _seed("Torus2", (16, 16), SolutionSpec(
+        kind="Cylinder", n=2, k=1, m=1, flat_length=3.5), t=0.25),
+    "sphere-k1": lambda: unit_sphere((16, 32), k=1),
+    "sphere-k2": lambda: unit_sphere((16, 32), k=2),
+    "veronese": lambda: _seed("LatLongSphere", (24, 48), SolutionSpec(kind="Veronese", n=2, k=3)),
+    "perturbed-sphere": lambda: unit_sphere((32, 64), k=2, amp=0.05, mode=3),
+}
+
+
+class TestExtractionKernels:
+    """The per-step kernel and the velocity kernel against contractions of the
+    full tensor: the projector-built hvec, with both indices raised by the
+    stacked inverse metric."""
+
+    @staticmethod
+    def reference(gf):
+        up = np.einsum("...ai,...ijx->...ajx", gf.ginv, gf.hvec)
+        Hvec = np.einsum("...aax->...x", up)
+        return {"Hvec": Hvec, "normH2": np.einsum("...x,...x->...", Hvec, Hvec),
+                "normh2": np.einsum("...ajx,...jax->...", up, up),
+                "detg": np.linalg.det(gf.g)}
+
+    @pytest.mark.parametrize("name", list(KERNEL_CASES))
+    def test_parity_with_geometry_fields(self, name):
+        im = KERNEL_CASES[name]()
+        assert (name == "cylinder") == bool(im.wrap_offsets)
+        gf, sf = geometry_fields(im), scalar_fields(im)
+        ref = self.reference(gf)
+        for key in ("Hvec", "normH2", "normh2", "detg"):
+            scale = np.abs(ref[key]).max()
+            assert scale > 0, key
+            assert np.abs(getattr(sf, key) - ref[key]).max() <= 1e-12 * scale, f"{name}: {key}"
+            assert np.array_equal(getattr(gf, key), getattr(sf, key))
+        velocity = mean_curvature_vector(im)
+        assert np.abs(velocity - ref["Hvec"]).max() <= 1e-12 * np.abs(ref["Hvec"]).max()
+        if name == "cylinder":
+            # homogeneous surface: both seams' ghost layers must carry the
+            # offset (the flat direction's errors show in det g, not in h)
+            for field in (sf.normH2, sf.normh2, sf.detg):
+                assert np.ptp(field) <= 1e-12 * field.max()
 
 
 class TestNormalFrame:

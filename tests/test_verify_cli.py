@@ -79,6 +79,16 @@ class TestCliSimulate:
                        "--out", str(tmp_path / "z")) == 64            # no --t-end
         assert run_cli("nonsense") == 64
 
+    @pytest.mark.parametrize("t_end", ["nan", "inf", "-1"])
+    def test_meaningless_end_time_is_usage_error(self, tmp_path, capsys, t_end):
+        out = tmp_path / "bad"
+        code = run_cli("simulate", "--spec", "sphere", "--grid", "16x32",
+                       "--t-end", t_end, "--out", str(out))
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_blowup_exit_code(self, tmp_path):
         out = tmp_path / "blow"
         code = run_cli("simulate", "--spec", "sphere", "--grid", "16x32",
@@ -192,6 +202,34 @@ class TestCliReport:
             tau, max_h, _ = row.split(",")
             expect = (-float(tau)) ** -0.5
             assert abs(float(max_h) / expect - 1.0) <= 1e-2
+
+    def test_reused_out_reads_only_the_last_run(self, tmp_path, capsys):
+        from mcflow.cli import _load_trajectory
+        out = tmp_path / "reused"
+        for every in ("5", "100"):
+            assert run_cli("simulate", "--spec", "sphere", "--grid", "16x32",
+                           "--t-end", "0.05", "--snapshot-every", every,
+                           "--out", str(out)) == 0
+        # the first run's 11 snapshots stay on disk; the manifest lists 2
+        assert len([f for f in os.listdir(out) if f.startswith("snap_")]) == 11
+        traj = _load_trajectory(str(out))
+        assert len(traj.snapshots) == len(traj.diagnostics) == 2
+        capsys.readouterr()
+        assert run_cli("report", "--in", str(out), "--classify") == 65
+        err = capsys.readouterr().err   # two records are too few to classify
+        assert err.startswith("data error: need >= 10 records") and err.count("\n") == 1
+
+    def test_out_of_order_manifest_is_data_error(self, run_dir, capsys):
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        snaps = [f for f in manifest["outputs"] if f.startswith("snap_")]
+        manifest["outputs"] = snaps[::-1] + ["diagnostics.csv"]
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("report", "--in", str(run_dir), "--classify") == 65
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_corrupt_snapshot_is_data_error(self, run_dir):
         snaps = sorted(f for f in os.listdir(run_dir) if f.startswith("snap_"))
