@@ -21,8 +21,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .errors import DegenerateGeometryError
 from .flow import (
@@ -58,28 +56,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_grid(text: str) -> tuple[int, int]:
+def _parse_pair(text: str, sep: str, casts, what: str, form: str) -> tuple:
+    """Two values separated by ``sep`` (case-insensitive), cast by ``casts``;
+    a usage error names the option and the expected form."""
     try:
-        a, b = text.lower().split("x")
-        return int(a), int(b)
+        a, b = text.lower().split(sep)
+        return casts[0](a), casts[1](b)
     except Exception:
-        raise _UsageError(f"bad --grid value {text!r}; expected WxH") from None
-
-
-def _parse_perturb(text: str) -> tuple[float, int]:
-    try:
-        amp, mode = text.split(":")
-        return float(amp), int(mode)
-    except Exception:
-        raise _UsageError(f"bad --perturb value {text!r}; expected amp:mode") from None
-
-
-def _parse_window(text: str) -> tuple[float, float]:
-    try:
-        lo, hi = text.split(":")
-        return float(lo), float(hi)
-    except Exception:
-        raise _UsageError(f"bad window {text!r}; expected lo:hi") from None
+        raise _UsageError(f"bad {what} {text!r}; expected {form}") from None
 
 
 def _load_config_file(path) -> dict:
@@ -147,15 +131,12 @@ def _build_seed(args):
     n = _resolve(args, "n", 2, int)
     k = _resolve(args, "k", None, int)
     radius = _resolve(args, "radius", 1.0, float)
-    grid_txt = _resolve(args, "grid", "64x128", str)
-    if isinstance(grid_txt, str):
-        g1, g2 = _parse_grid(grid_txt)
-    else:
-        g1, g2 = grid_txt
+    g1, g2 = _parse_pair(_resolve(args, "grid", "64x128", str), "x", (int, int),
+                         "--grid value", "WxH")
     amp, mode_no = 0.0, 2
     perturb = _resolve(args, "perturb", None, str)
     if perturb:
-        amp, mode_no = _parse_perturb(perturb)
+        amp, mode_no = _parse_pair(perturb, ":", (float, int), "--perturb value", "amp:mode")
 
     kind = {"sphere": "Sphere", "cylinder": "Cylinder",
             "veronese": "Veronese", "torus": "TorusSeed"}[spec_name]
@@ -231,7 +212,6 @@ def cmd_simulate(args) -> int:
             "max_steps": config.max_steps, "blowup_cap": config.stop_on_blowup,
             "integrator": config.integrator,
         },
-        "seeds": {},
         "mode": mode,
         "T_singular": traj.T_singular,
         "stop_reason": traj.stop_reason,
@@ -271,16 +251,19 @@ def cmd_verify(args) -> int:
 
     n, k, c, eps, delta and r_amb narrow or parametrise the suite's cells; a
     run that would mean nothing (too few samples, n or k out of range, an
-    option that is not finite) is a usage error."""
+    option that is not finite) or could not write its report (``--out`` in a
+    directory that does not exist) is a usage error, raised before any sample
+    is drawn."""
     suite = _resolve(args, "suite", None, str)
-    if suite is None:
-        print("usage error: --suite is required", file=sys.stderr)
-        return EXIT_USAGE
     started = time.time()
     try:
+        if suite is None:
+            raise ValueError("--suite is required")
         samples = _resolve(args, "samples", 10_000, int)
         seed = _resolve(args, "seed", 42, int)
         out = _resolve(args, "out", "fuzz_report.csv", str)
+        if not os.path.isdir(os.path.dirname(out) or "."):
+            raise ValueError(f"--out directory {os.path.dirname(out)!r} does not exist")
         kwargs = {}
         for key, cast in (("n", int), ("k", int), ("c", float), ("eps", float),
                           ("delta", float), ("r_amb", float)):
@@ -343,18 +326,24 @@ def _rescaled_summary(result, path):
     lines = ["tau,maxH,maxRatio"]
     for snap in result.trajectory.snapshots:
         gf = scalar_fields(snap)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(gf.normH2 > 0, gf.normh2 / gf.normH2, np.inf)
         lines.append(f"{snap.t:.17g},{math.sqrt(gf.normH2.max()):.17g},"
-                     f"{ratio.max():.17g}")
+                     f"{gf.max_ratio:.17g}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def cmd_report(args) -> int:
+    """Classify, fit and rescale the run in ``--in``, writing into it; a run
+    these analyses cannot use is a data error (exit 65)."""
     in_dir = _resolve(args, "in_dir", None, str)
-    if not in_dir:
-        print("usage error: --in is required", file=sys.stderr)
+    window_txt = getattr(args, "fit_window", None)
+    try:
+        if not in_dir:
+            raise _UsageError("--in is required")
+        window = (_parse_pair(window_txt, ":", (float, float), "window", "lo:hi")
+                  if window_txt else None)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
         traj = _load_trajectory(in_dir)
@@ -362,35 +351,24 @@ def cmd_report(args) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
-    if getattr(args, "classify", None):
-        try:
+    try:
+        if getattr(args, "classify", None):
             res = classify_type(traj)
-        except ValueError as exc:
-            print(f"data error: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        with open(os.path.join(in_dir, "classify.csv"), "w") as fh:
-            fh.write("kind,C,C2,supTIq,trend\n")
-            fh.write(f"{res.kind},{res.C:.17g},{res.C ** 2:.17g},"
-                     f"{res.sup_tIq:.17g},{res.trend:.17g}\n")
-        print(f"{res.kind} C2={res.C ** 2:.6g} trend={res.trend:.4f}")
+            with open(os.path.join(in_dir, "classify.csv"), "w") as fh:
+                fh.write("kind,C,C2,supTIq,trend\n")
+                fh.write(f"{res.kind},{res.C:.17g},{res.C ** 2:.17g},"
+                         f"{res.sup_tIq:.17g},{res.trend:.17g}\n")
+            print(f"{res.kind} C2={res.C ** 2:.6g} trend={res.trend:.4f}")
 
-    if getattr(args, "fit_area", None):
-        window = None
-        if getattr(args, "fit_window", None):
-            window = _parse_window(args.fit_window)
-        try:
+        if getattr(args, "fit_area", None):
             c_fit, r_fit = fit_area_decay(traj, window)
-        except ValueError as exc:
-            print(f"data error: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        with open(os.path.join(in_dir, "area_fit.csv"), "w") as fh:
-            fh.write("c,r,mode\n")
-            fh.write(f"{c_fit:.17g},{r_fit:.17g},{traj.mode}\n")
-        print(f"area ~ c|t|^r fit: c={c_fit:.6g} r={r_fit:.4f}")
+            with open(os.path.join(in_dir, "area_fit.csv"), "w") as fh:
+                fh.write("c,r,mode\n")
+                fh.write(f"{c_fit:.17g},{r_fit:.17g},{traj.mode}\n")
+            print(f"area ~ c|t|^r fit: c={c_fit:.6g} r={r_fit:.4f}")
 
-    rescale = getattr(args, "rescale", None)
-    if rescale:
-        try:
+        rescale = getattr(args, "rescale", None)
+        if rescale:
             if rescale == "type2":
                 result = blowup_type2(traj)
             else:
@@ -401,16 +379,16 @@ def cmd_report(args) -> int:
                     if tj is None or tj >= 0:
                         raise ValueError("--tj is required for type1 on this trajectory")
                 result = rescale_type1(traj, tj, n_tau=getattr(args, "n_tau", None) or 11)
-        except (ValueError, DegenerateGeometryError) as exc:
-            print(f"data error: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        sub = os.path.join(in_dir, f"rescale_{rescale}")
-        os.makedirs(sub, exist_ok=True)
-        for i, snap in enumerate(result.trajectory.snapshots):
-            save_snapshot(snap, os.path.join(sub, f"snap_{i:06d}.txt"))
-        _rescaled_summary(result, os.path.join(sub, "summary.csv"))
-        print(f"{rescale}: L={result.L:.6g} base_time={result.base_time:.6g} "
-              f"-> {sub}")
+            sub = os.path.join(in_dir, f"rescale_{rescale}")
+            os.makedirs(sub, exist_ok=True)
+            for i, snap in enumerate(result.trajectory.snapshots):
+                save_snapshot(snap, os.path.join(sub, f"snap_{i:06d}.txt"))
+            _rescaled_summary(result, os.path.join(sub, "summary.csv"))
+            print(f"{rescale}: L={result.L:.6g} base_time={result.base_time:.6g} "
+                  f"-> {sub}")
+    except (ValueError, DegenerateGeometryError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
     return EXIT_OK
 
 
@@ -430,26 +408,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        config = getattr(args, "config", None)
+        args._config_values = _load_config_file(config) if config else {}
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     args._argv = argv
-    if getattr(args, "config", None):
-        try:
-            args._config_values = _load_config_file(args.config)
-        except _UsageError as exc:
-            print(f"usage error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    else:
-        args._config_values = {}
-    if args.command == "simulate":
-        return cmd_simulate(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "report":
-        return cmd_report(args)
-    parser.print_usage(sys.stderr)
-    return EXIT_USAGE
+    command = {"simulate": cmd_simulate, "verify": cmd_verify,
+               "report": cmd_report}.get(args.command)
+    if command is None:
+        parser.print_usage(sys.stderr)
+        return EXIT_USAGE
+    return command(args)
 
 
 if __name__ == "__main__":

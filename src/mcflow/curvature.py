@@ -26,6 +26,7 @@ stacked tensors of shape ``(B, n, n, k)`` and power the fuzz suites.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -197,21 +198,11 @@ def batch_reaction_terms(h: np.ndarray):
     return R1, R2
 
 
-_PAIR_CACHE: dict[int, list[tuple[int, int]]] = {}
-
-
-def bivector_pairs(n: int) -> list[tuple[int, int]]:
-    """Lexicographic index pairs (i, j), i < j, of the bivector basis."""
-    if n not in _PAIR_CACHE:
-        _PAIR_CACHE[n] = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return _PAIR_CACHE[n]
-
-
 def batch_gauss_operator(h: np.ndarray, ambient_k: float = 0.0) -> np.ndarray:
     """Curvature operator matrices, shape (B, N, N) with N = n(n-1)/2."""
     n = h.shape[1]
     rfull = np.einsum("bika,bjla->bijkl", h, h) - np.einsum("bjka,bila->bijkl", h, h)
-    pairs = bivector_pairs(n)
+    pairs = list(itertools.combinations(range(n), 2))  # lexicographic, i < j
     ii = np.array([p[0] for p in pairs])
     jj = np.array([p[1] for p in pairs])
     # mat[b, p, q] = R[b, i_p, j_p, i_q, j_q]

@@ -40,7 +40,6 @@ from typing import Optional
 
 import numpy as np
 
-from .curvature import PinchSpec
 from .errors import DegenerateGeometryError, MinimalPointError
 from .grid import ParamGrid
 from .immersion import (
@@ -76,20 +75,23 @@ __all__ = [
 CSV_COLUMNS = ("t", "area", "intH2", "maxH", "minH", "maxRatio", "minQ",
                "phi", "gaussBonnet", "tIq")
 
+# f_sigma's sigma and power p for the recorded phi = integral of f_sigma^p
+PHI_SIGMA = 0.1
+PHI_P = 10.0
+
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Knobs of a flow run."""
+    """Knobs of a flow run: the end time, the step bound's factor, the
+    integrator, the two stops (step count, cap on max |h|^2) and the record
+    interval.  What each record measures is fixed; see :func:`diagnostics`."""
 
     t_end: float
     cfl: float = 0.2
     integrator: str = "RK4"
     max_steps: int = 1_000_000
     stop_on_blowup: float = 1e6        # cap on max |h|^2
-    pinch: Optional[PinchSpec] = None  # defaults to c = 4/(3n), a = 0
     snapshot_every: int = 25
-    sigma: float = 0.1
-    p: float = 10.0
 
     def __post_init__(self):
         if not 0 < self.cfl <= 1:
@@ -106,7 +108,7 @@ class FlowConfig:
 class DiagnosticsRecord:
     """One time slice of every scalar functional tracked along a run.
 
-    ``minQ`` stores min over nodes of -Q = c|H|^2 - a - |h|^2; a strictly
+    ``minQ`` stores min over nodes of -Q = (4/(3n))|H|^2 - |h|^2; a strictly
     pinched surface keeps it positive, and -minQ is the worst (largest) nodal
     Q.  ``gaussBonnet`` is the Gauss curvature integral and is None for
     n != 2.  ``tIq`` is the type-I quantity for the trajectory's mode.
@@ -283,40 +285,43 @@ def fsigma_scaling_report(im: DiscreteImmersion, sigma: float, p: float,
     return lhs, rhs, (lhs / rhs if rhs > 0 else math.inf)
 
 
+def _type1_weight(t, mode: str, T: Optional[float]):
+    """The factor of max|H|^2 in the type-I quantity at time t: -t in Ancient
+    mode, T - t in Forward mode, where T is the singular time (NaN when T is
+    unknown)."""
+    if mode == "Ancient":
+        return -t
+    return T - t if T is not None else math.nan
+
+
 def diagnostics(im: DiscreteImmersion, mode: str = "Forward",
-                T: Optional[float] = None, pinch: Optional[PinchSpec] = None,
-                sigma: float = 0.1, p: float = 10.0,
+                T: Optional[float] = None,
                 fields: ScalarFields | None = None) -> DiagnosticsRecord:
     """All scalar functionals of one time slice.
 
-    ``T`` is the (estimated) singular time and is only used in Forward mode;
-    the type-I quantity is NaN when it is unknown.  ``fields`` is an
-    extraction of ``im`` already made; without it one is made here.
+    minQ is measured against the pinching Q = |h|^2 - (4/(3n)) |H|^2 and phi
+    is the integral of f_sigma^p with sigma = PHI_SIGMA, p = PHI_P.  ``T`` is
+    the (estimated) singular time and is only used in Forward mode; the
+    type-I quantity is NaN when it is unknown.  ``fields`` is an extraction of
+    ``im`` already made; without it one is made here.
     """
     gf = fields if fields is not None else scalar_fields(im)
-    if pinch is None:
-        pinch = PinchSpec(c=4.0 / (3.0 * im.n))
     ones = np.ones(im.grid.res)
     area = integrate(im, ones, gf)
     intH2 = integrate(im, gf.normH2, gf)
     maxH2 = float(gf.normH2.max())
     minH2 = float(gf.normH2.min())
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(gf.normH2 > 0, gf.normh2 / gf.normH2, np.inf)
-    neg_q = pinch.c * gf.normH2 - pinch.a - gf.normh2
+    neg_q = 4.0 / (3.0 * im.n) * gf.normH2 - gf.normh2
     try:
-        phi, _ = fsigma_integral(im, sigma, p, gf)
+        phi, _ = fsigma_integral(im, PHI_SIGMA, PHI_P, gf)
     except MinimalPointError:
         phi = math.nan
     gb = integrate(im, gauss_curvature_field(im, gf), gf) if im.n == 2 else None
-    if mode == "Ancient":
-        tiq = -im.t * maxH2
-    else:
-        tiq = (T - im.t) * maxH2 if T is not None else math.nan
     return DiagnosticsRecord(
         t=im.t, area=area, intH2=intH2, maxH=math.sqrt(maxH2),
-        minH=math.sqrt(max(minH2, 0.0)), maxRatio=float(ratio.max()),
-        minQ=float(neg_q.min()), phi=phi, gaussBonnet=gb, tIq=tiq,
+        minH=math.sqrt(max(minH2, 0.0)), maxRatio=gf.max_ratio,
+        minQ=float(neg_q.min()), phi=phi, gaussBonnet=gb,
+        tIq=_type1_weight(im.t, mode, T) * maxH2,
     )
 
 
@@ -347,8 +352,7 @@ def run(seed: DiscreteImmersion, config: FlowConfig, mode: str = "Forward") -> T
 
     def record(state: DiscreteImmersion, fields: ScalarFields) -> None:
         snapshots.append(state.copy())
-        pre.append(diagnostics(state, mode="Ancient", pinch=config.pinch,
-                               sigma=config.sigma, p=config.p, fields=fields))
+        pre.append(diagnostics(state, mode="Ancient", fields=fields))
 
     record(im, sf)
     stop_reason = "t_end"
@@ -379,8 +383,7 @@ def run(seed: DiscreteImmersion, config: FlowConfig, mode: str = "Forward") -> T
     if mode == "Forward":
         T = _estimate_singular_time(np.array([r.t for r in pre]),
                                     np.array([r.maxH ** 2 for r in pre]))
-        records = [replace(r, tIq=(T - r.t) * r.maxH ** 2 if T is not None else math.nan)
-                   for r in pre]
+        records = [replace(r, tIq=_type1_weight(r.t, mode, T) * r.maxH ** 2) for r in pre]
     else:
         records = pre
     return Trajectory(snapshots=snapshots, diagnostics=records, mode=mode,
@@ -391,7 +394,7 @@ def run(seed: DiscreteImmersion, config: FlowConfig, mode: str = "Forward") -> T
 # classification and rescaling
 # ---------------------------------------------------------------------------
 
-def classify_type(traj: Trajectory, t_max: Optional[float] = None) -> ClassifyResult:
+def classify_type(traj: Trajectory) -> ClassifyResult:
     """Type-I / type-II dichotomy from the recorded type-I quantity.
 
     The record window is split in half at the median time; the half adjacent
@@ -400,8 +403,6 @@ def classify_type(traj: Trajectory, t_max: Optional[float] = None) -> ClassifyRe
     other half's max) is type I with constant C = sqrt(sup tIq).
     """
     recs = [r for r in traj.diagnostics if not math.isnan(r.tIq)]
-    if t_max is not None and traj.mode == "Ancient":
-        recs = [r for r in recs if r.t <= t_max]
     if len(recs) < 10:
         raise ValueError(f"need >= 10 records to classify, have {len(recs)}")
     recs.sort(key=lambda r: r.t)
@@ -447,18 +448,14 @@ def blowup_type2(traj: Trajectory, window: Optional[tuple[float, float]] = None
         snaps = [s for s in snaps if lo <= s.t <= hi]
     if not snaps:
         raise ValueError("empty rescaling window")
-    if traj.mode == "Forward":
-        if traj.T_singular is None:
-            raise ValueError("forward-mode blow-up needs an estimated singular time")
-        weight = lambda t: traj.T_singular - t
-    else:
-        weight = lambda t: -t
+    if traj.mode == "Forward" and traj.T_singular is None:
+        raise ValueError("forward-mode blow-up needs an estimated singular time")
 
     best = None  # (-q, t, flat_index, normH2_at_node, position)
     for s in snaps:
         h2 = scalar_fields(s).normH2.reshape(-1)
         idx = int(np.argmax(h2))
-        q = weight(s.t) * float(h2[idx])
+        q = _type1_weight(s.t, traj.mode, traj.T_singular) * float(h2[idx])
         key = (-q, s.t, idx)
         if best is None or key < best[0]:
             best = (key, s.t, idx, float(h2[idx]),
@@ -512,12 +509,9 @@ def fit_area_decay(traj: Trajectory, window: Optional[tuple[float, float]] = Non
     if window is not None:
         lo, hi = window
         recs = [r for r in recs if lo <= r.t <= hi]
-    if traj.mode == "Ancient":
-        x = np.array([-r.t for r in recs])
-    else:
-        if traj.T_singular is None:
-            raise ValueError("forward-mode fit needs an estimated singular time")
-        x = np.array([traj.T_singular - r.t for r in recs])
+    if traj.mode == "Forward" and traj.T_singular is None:
+        raise ValueError("forward-mode fit needs an estimated singular time")
+    x = np.array([_type1_weight(r.t, traj.mode, traj.T_singular) for r in recs])
     y = np.array([r.area for r in recs])
     keep = (x > 0) & (y > 0)
     if keep.sum() < 2:
@@ -534,7 +528,7 @@ def synthetic_trajectory(times, max_h2, mode: str = "Ancient",
     max_h2 = np.asarray(max_h2, dtype=float)
     recs = []
     for t, h2 in zip(times, max_h2):
-        tiq = -t * h2 if mode == "Ancient" else (T - t) * h2
+        tiq = _type1_weight(t, mode, T) * h2
         recs.append(DiagnosticsRecord(
             t=float(t), area=math.nan, intH2=math.nan, maxH=math.sqrt(h2),
             minH=math.nan, maxRatio=math.nan, minQ=math.nan, phi=math.nan,
@@ -546,19 +540,13 @@ def synthetic_trajectory(times, max_h2, mode: str = "Ancient",
 # CSV
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_diagnostics_csv(records, path) -> None:
     """Exact column order t,area,intH2,maxH,minH,maxRatio,minQ,phi,gaussBonnet,tIq;
     17 significant digits; gaussBonnet empty for n != 2."""
     lines = [",".join(CSV_COLUMNS)]
     for r in records:
-        row = [_fmt(r.t), _fmt(r.area), _fmt(r.intH2), _fmt(r.maxH), _fmt(r.minH),
-               _fmt(r.maxRatio), _fmt(r.minQ), _fmt(r.phi),
-               "" if r.gaussBonnet is None else _fmt(r.gaussBonnet), _fmt(r.tIq)]
-        lines.append(",".join(row))
+        values = (getattr(r, c) for c in CSV_COLUMNS)
+        lines.append(",".join("" if v is None else f"{v:.17g}" for v in values))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -573,11 +561,8 @@ def read_diagnostics_csv(path) -> list[DiagnosticsRecord]:
             line = line.strip()
             if not line:
                 continue
-            parts = line.split(",")
-            gb = None if parts[8] == "" else float(parts[8])
-            vals = [float(p) for p in parts[:8]]
-            records.append(DiagnosticsRecord(
-                t=vals[0], area=vals[1], intH2=vals[2], maxH=vals[3], minH=vals[4],
-                maxRatio=vals[5], minQ=vals[6], phi=vals[7], gaussBonnet=gb,
-                tIq=float(parts[9])))
+            vals = dict(zip(CSV_COLUMNS, line.split(",")))
+            gb = vals.pop("gaussBonnet")
+            records.append(DiagnosticsRecord(gaussBonnet=None if gb == "" else float(gb),
+                                             **{c: float(v) for c, v in vals.items()}))
     return records

@@ -91,11 +91,14 @@ def _reflect_row(row: np.ndarray, nlon: int, theta_sign) -> np.ndarray:
 
 
 def pad2(grid: ParamGrid, field: np.ndarray, axis: int, theta_sign=None,
-         positions: bool = False, wrap_offsets=None) -> np.ndarray:
+         wrap_offsets=None) -> np.ndarray:
     """Field extended by two ghost layers on both sides of one axis.
 
     All stencils slice this array, which costs a single copy of the field per
-    (field, axis) pair instead of one per stencil offset.
+    (field, axis) pair instead of one per stencil offset.  ``theta_sign``
+    flips tensor components across the poles; ``wrap_offsets`` (the
+    immersion's, given only when padding raw positions) shifts the ghosts of
+    a periodic axis by the offset gained per period.
     """
     work = field if axis == 0 else np.swapaxes(field, 0, axis)
     npts = work.shape[0]
@@ -103,13 +106,12 @@ def pad2(grid: ParamGrid, field: np.ndarray, axis: int, theta_sign=None,
     out[2:-2] = work
     if grid.topology == "LatLongSphere" and axis == 0:
         nlon = grid.res[1]
-        sign = None if positions else theta_sign
-        out[1] = _reflect_row(work[0], nlon, sign)
-        out[0] = _reflect_row(work[1], nlon, sign)
-        out[-2] = _reflect_row(work[-1], nlon, sign)
-        out[-1] = _reflect_row(work[-2], nlon, sign)
+        out[1] = _reflect_row(work[0], nlon, theta_sign)
+        out[0] = _reflect_row(work[1], nlon, theta_sign)
+        out[-2] = _reflect_row(work[-1], nlon, theta_sign)
+        out[-1] = _reflect_row(work[-2], nlon, theta_sign)
     else:
-        offset = wrap_offsets.get(axis) if (positions and wrap_offsets) else None
+        offset = wrap_offsets.get(axis) if wrap_offsets else None
         out[:2] = work[-2:]
         out[-2:] = work[:2]
         if offset is not None:
@@ -118,36 +120,25 @@ def pad2(grid: ParamGrid, field: np.ndarray, axis: int, theta_sign=None,
     return out if axis == 0 else np.swapaxes(out, 0, axis)
 
 
-def _slice_axis(padded: np.ndarray, axis: int, lo: int, hi) -> np.ndarray:
-    sl = [slice(None)] * padded.ndim
-    sl[axis] = slice(lo, hi)
-    return padded[tuple(sl)]
+def _offsets(grid: ParamGrid, field: np.ndarray, axis: int, theta_sign,
+             padded: np.ndarray | None) -> list[np.ndarray]:
+    """The field at stencil offsets -2..2 along an axis, as slices of its pad."""
+    p = padded if padded is not None else pad2(grid, field, axis, theta_sign)
+    lead = (slice(None),) * axis
+    return [p[lead + (slice(lo, lo - 4 or None),)] for lo in range(5)]
 
 
-def stencil_d1(grid: ParamGrid, field: np.ndarray, axis: int, *, order: int = 4,
-               theta_sign=None, positions: bool = False,
-               wrap_offsets=None, padded: np.ndarray | None = None) -> np.ndarray:
-    """Central first derivative along a parameter axis."""
-    d = grid.spacing[axis]
-    p = padded if padded is not None else pad2(
-        grid, field, axis, theta_sign, positions, wrap_offsets)
-    s = lambda lo, hi: _slice_axis(p, axis, lo, hi)
-    if order == 4:
-        acc = s(0, -4) - 8.0 * s(1, -3) + 8.0 * s(3, -1) - s(4, None)
-        return acc / (12.0 * d)
-    if order == 2:
-        return (s(3, -1) - s(1, -3)) / (2.0 * d)
-    raise ValueError("order must be 2 or 4")
+def stencil_d1(grid: ParamGrid, field: np.ndarray, axis: int, *, theta_sign=None,
+               padded: np.ndarray | None = None) -> np.ndarray:
+    """Fourth-order central first derivative along a parameter axis; slices
+    ``padded`` when the caller already padded the field."""
+    m2, m1, _, p1, p2 = _offsets(grid, field, axis, theta_sign, padded)
+    return (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * grid.spacing[axis])
 
 
-def stencil_d2(grid: ParamGrid, field: np.ndarray, axis: int, *,
-               theta_sign=None, positions: bool = False,
-               wrap_offsets=None, padded: np.ndarray | None = None) -> np.ndarray:
-    """Fourth-order pure second derivative along a parameter axis."""
-    d = grid.spacing[axis]
-    p = padded if padded is not None else pad2(
-        grid, field, axis, theta_sign, positions, wrap_offsets)
-    s = lambda lo, hi: _slice_axis(p, axis, lo, hi)
-    acc = (-s(0, -4) + 16.0 * s(1, -3) - 30.0 * s(2, -2)
-           + 16.0 * s(3, -1) - s(4, None))
-    return acc / (12.0 * d ** 2)
+def stencil_d2(grid: ParamGrid, field: np.ndarray, axis: int, *, theta_sign=None,
+               padded: np.ndarray | None = None) -> np.ndarray:
+    """Fourth-order pure second derivative along a parameter axis; slices
+    ``padded`` when the caller already padded the field."""
+    m2, m1, c, p1, p2 = _offsets(grid, field, axis, theta_sign, padded)
+    return (-m2 + 16.0 * m1 - 30.0 * c + 16.0 * p1 - p2) / (12.0 * grid.spacing[axis] ** 2)

@@ -130,6 +130,12 @@ class ScalarFields:
     def normh02(self) -> np.ndarray:
         return self.normh2 - self.normH2 / len(self.pads)
 
+    @property
+    def max_ratio(self) -> float:
+        """Max over nodes of the pinching ratio |h|^2 / |H|^2 (inf where |H| = 0)."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(np.where(self.normH2 > 0, self.normh2 / self.normH2, np.inf).max())
+
 
 @dataclass(frozen=True)
 class GeometryFields(ScalarFields):
@@ -194,9 +200,8 @@ def _extract(im: DiscreteImmersion) -> _Extraction:
     """The one extraction core: pads, Jacobian, metric with its condition
     check, and the second derivatives of the positions."""
     grid, pos, nd = im.grid, im.positions, im.n
-    pads = tuple(pad2(grid, pos, a, positions=True, wrap_offsets=im.wrap_offsets)
-                 for a in range(nd))
-    jac = [stencil_d1(grid, pos, a, order=4, padded=pads[a]) for a in range(nd)]
+    pads = tuple(pad2(grid, pos, a, wrap_offsets=im.wrap_offsets) for a in range(nd))
+    jac = [stencil_d1(grid, pos, a, padded=pads[a]) for a in range(nd)]
     cols = [_components_first(c) for c in jac]
     g, ginv, detg, cond = _metric(cols)
     worst = float(np.max(cond))
@@ -209,7 +214,7 @@ def _extract(im: DiscreteImmersion) -> _Extraction:
         return _Extraction(pads, cols, g, ginv, detg, [[d00]])
     # dF/du_1 has no wrap offset and no pole sign flip, so it pads like any
     # derived field
-    d01 = _components_first(stencil_d1(grid, jac[1], 0, order=4))
+    d01 = _components_first(stencil_d1(grid, jac[1], 0))
     d11 = _components_first(stencil_d2(grid, pos, 1, padded=pads[1]))
     return _Extraction(pads, cols, g, ginv, detg, [[d00, d01], [d01, d11]])
 
@@ -302,21 +307,22 @@ def mean_curvature_vector(im: DiscreteImmersion) -> np.ndarray:
 def normal_frame(jac: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the normal space, deterministic convention.
 
-    Columns come from a complete orthogonal factorisation of the Jacobian,
-    sign-fixed so each normal's largest-magnitude component is positive.
+    Takes one Jacobian (n+k, n) or a stack (..., n+k, n) and returns the
+    matching (..., n+k, k).  Columns come from a complete orthogonal
+    factorisation, sign-fixed so each normal's largest-magnitude component is
+    positive; a diagonal entry of R below 1e-13 times the largest Jacobian
+    entry (at least 1) is a rank-deficient Jacobian.
     """
     jac = np.asarray(jac, dtype=float)
-    amb, n = jac.shape
+    n = jac.shape[-1]
     q, r = np.linalg.qr(jac, mode="complete")
-    diag = np.abs(np.diagonal(r[:n, :n]))
+    diag = np.abs(np.diagonal(r[..., :n, :n], axis1=-2, axis2=-1))
     if np.any(diag < 1e-13 * max(1.0, np.abs(jac).max())):
         raise DegenerateGeometryError("rank-deficient Jacobian")
-    normals = q[:, n:].copy()
-    for c in range(normals.shape[1]):
-        i = int(np.argmax(np.abs(normals[:, c])))
-        if normals[i, c] < 0:
-            normals[:, c] = -normals[:, c]
-    return normals
+    frames = q[..., n:]
+    idx = np.argmax(np.abs(frames), axis=-2)
+    picked = np.take_along_axis(frames, idx[..., None, :], axis=-2)[..., 0, :]
+    return frames * np.where(picked < 0, -1.0, 1.0)[..., None, :]
 
 
 def _serpentine(res: tuple[int, ...]):
@@ -330,47 +336,33 @@ def _serpentine(res: tuple[int, ...]):
             yield (i, j)
 
 
-def normal_frame_field(im: DiscreteImmersion, gf: GeometryFields | None = None,
-                       align: bool = True) -> np.ndarray:
+def normal_frame_field(im: DiscreteImmersion, gf: GeometryFields | None = None) -> np.ndarray:
     """Normal frames at every node, shape (*res, n+k, k).
 
-    With ``align`` the frames are swept in a fixed serpentine node order and
-    each is rotated onto its predecessor by the orthogonal Procrustes
-    solution, which makes the field continuous wherever the raw factorisation
-    jumps.  The sweep is sequential by construction, so the result does not
-    depend on any parallelism in the surrounding code.
+    The frames of :func:`normal_frame` are swept in a fixed serpentine node
+    order and each is rotated onto its predecessor by the orthogonal
+    Procrustes solution, which makes the field continuous wherever the raw
+    factorisation jumps.  The sweep is sequential by construction, so the
+    result does not depend on any parallelism in the surrounding code.
     """
     if gf is None:
         gf = geometry_fields(im)
-    amb, n, k = im.ambient_dim, im.n, im.k
-    q, r = np.linalg.qr(gf.jac, mode="complete")
-    diag = np.abs(np.diagonal(r[..., :n, :n], axis1=-2, axis2=-1))
-    if np.any(diag < 1e-13 * max(1.0, np.abs(gf.jac).max())):
-        raise DegenerateGeometryError("rank-deficient Jacobian in frame extraction")
-    frames = q[..., n:].copy()
-
-    idx = np.argmax(np.abs(frames), axis=-2)
-    picked = np.take_along_axis(frames, idx[..., None, :], axis=-2)[..., 0, :]
-    sign = np.where(picked < 0, -1.0, 1.0)
-    frames *= sign[..., None, :]
-
-    if align and k >= 1:
-        order = list(_serpentine(im.grid.res))
-        prev = order[0]
-        for node in order[1:]:
-            m = frames[node].T @ frames[prev]
-            u, _, vt = np.linalg.svd(m)
-            frames[node] = frames[node] @ (u @ vt)
-            prev = node
+    frames = normal_frame(gf.jac)
+    order = list(_serpentine(im.grid.res))
+    prev = order[0]
+    for node in order[1:]:
+        m = frames[node].T @ frames[prev]
+        u, _, vt = np.linalg.svd(m)
+        frames[node] = frames[node] @ (u @ vt)
+        prev = node
     return frames
 
 
-def point_curvature_field(im: DiscreteImmersion, gf: GeometryFields | None = None,
-                          align: bool = True):
+def point_curvature_field(im: DiscreteImmersion, gf: GeometryFields | None = None):
     """Frame-adapted h[i, j, a] at every node plus the frames used."""
     if gf is None:
         gf = geometry_fields(im)
-    frames = normal_frame_field(im, gf, align=align)
+    frames = normal_frame_field(im, gf)
     isq = _isqrt_metric(gf.g, gf.detg, im.n)
     hadapt = np.einsum("...ip,...jq,...pqx,...xa->...ija", isq, isq, gf.hvec, frames)
     return hadapt, frames
@@ -418,16 +410,13 @@ def covariant_gradient_fields(im: DiscreteImmersion,
         gf = geometry_fields(im)
     grid, nd = im.grid, im.n
 
+    sign_g = sign_h = None
     if grid.topology == "LatLongSphere":
-        sig = _THETA_SIGNS
-        sign_g = sig[:, None] * sig[None, :]
+        sign_g = _THETA_SIGNS[:, None] * _THETA_SIGNS[None, :]
         sign_h = sign_g[:, :, None]
-    else:
-        sign_g = None
-        sign_h = None
 
     dg = np.stack(
-        [stencil_d1(grid, gf.g, a, order=4, theta_sign=sign_g) for a in range(nd)],
+        [stencil_d1(grid, gf.g, a, theta_sign=sign_g) for a in range(nd)],
         axis=-3,
     )
     # Gamma^l_{di} = 1/2 g^{lm} (d_d g_{mi} + d_i g_{md} - d_m g_{di})
@@ -435,7 +424,7 @@ def covariant_gradient_fields(im: DiscreteImmersion,
     gamma = 0.5 * np.einsum("...lm,...dmi->...dli", gf.ginv, comb)
 
     dh = np.stack(
-        [stencil_d1(grid, gf.hvec, a, order=4, theta_sign=sign_h) for a in range(nd)],
+        [stencil_d1(grid, gf.hvec, a, theta_sign=sign_h) for a in range(nd)],
         axis=-4,
     )
     nab_h = (np.einsum("...xy,...dijy->...dijx", gf.proj, dh)
@@ -445,7 +434,7 @@ def covariant_gradient_fields(im: DiscreteImmersion,
                        gf.ginv, gf.ginv, gf.ginv, nab_h, nab_h)
 
     dH = np.stack(
-        [stencil_d1(grid, gf.Hvec, a, order=4) for a in range(nd)],
+        [stencil_d1(grid, gf.Hvec, a) for a in range(nd)],
         axis=-2,
     )
     nab_H = np.einsum("...xy,...dy->...dx", gf.proj, dH)

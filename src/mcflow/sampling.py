@@ -36,10 +36,9 @@ def generator(seed: int, *subkeys: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def symmetric_tensors(rng: np.random.Generator, count: int, n: int, k: int,
-                      scale: float = 1.0) -> np.ndarray:
+def symmetric_tensors(rng: np.random.Generator, count: int, n: int, k: int) -> np.ndarray:
     """i.i.d. standard normal entries, symmetrised in (i, j); shape (count, n, n, k)."""
-    a = rng.standard_normal((count, n, n, k)) * scale
+    a = rng.standard_normal((count, n, n, k))
     return (a + a.transpose(0, 2, 1, 3)) / 2.0
 
 
@@ -90,7 +89,7 @@ def pinched_tensors(rng: np.random.Generator, count: int, n: int, k: int,
 
 
 def sphere_pinched_tensors(rng: np.random.Generator, count: int, n: int, k: int,
-                           h0sq_cap, hmag: np.ndarray | None = None) -> np.ndarray:
+                           h0sq_cap) -> np.ndarray:
     """Samples built in the adapted frame, then randomly rotated.
 
     The first slice is a random diagonal with trace |H| (so the mean curvature
@@ -101,8 +100,7 @@ def sphere_pinched_tensors(rng: np.random.Generator, count: int, n: int, k: int,
     the form alpha |H|^2 + beta cover every pinching hypothesis used by the
     spherical-background suites.
     """
-    if hmag is None:
-        hmag = _magnitudes(rng, count)
+    hmag = _magnitudes(rng, count)
     normH2 = hmag ** 2
 
     # adapted-frame construction: diagonal first slice, traceless others
@@ -142,6 +140,5 @@ def rotate_tensors(h: np.ndarray, o_tan: np.ndarray, o_nor: np.ndarray) -> np.nd
 
 
 def rotate_point(pc: PointCurvature, o_tan: np.ndarray, o_nor: np.ndarray) -> PointCurvature:
-    """Rotate the tangent/normal frames of a single point tensor."""
-    h = np.einsum("ip,jq,ab,pqb->ija", o_tan, o_tan, o_nor, pc.h)
-    return PointCurvature(h)
+    """Rotate one point tensor with the convention of :func:`rotate_tensors`."""
+    return PointCurvature(rotate_tensors(pc.h[None], o_tan[None], o_nor[None])[0])

@@ -61,12 +61,12 @@ class HomotheticState:
 
 @dataclass(frozen=True)
 class SolutionSpec:
-    """Parameters selecting a seed solution.
+    """Parameters selecting a seed solution with a mesh representation.
 
-    kind is one of Sphere, Cylinder, Veronese, GeodesicCapSphere, TorusSeed.
-    ``m`` is the flat factor dimension (Cylinder only); ``R_amb``, ``rho0``,
-    ``t0`` configure the spherical cap; ``perturb_amp`` / ``perturb_mode``
-    add a radial sectoral-harmonic perturbation to sphere seeds.
+    kind is one of Sphere, Cylinder, Veronese, TorusSeed; the spherical caps
+    have none and are tracked by :func:`cap_radius` alone.  ``m`` is the flat
+    factor dimension (Cylinder only); ``perturb_amp`` / ``perturb_mode`` add
+    a radial sectoral-harmonic perturbation to sphere seeds.
     """
 
     kind: str
@@ -74,15 +74,12 @@ class SolutionSpec:
     k: int = 1
     radius: float = 1.0
     m: int = 1
-    R_amb: float = 1.0
-    rho0: float = 1.0
-    t0: float = 0.0
     flat_length: float = 2.0 * math.pi
     perturb_amp: float = 0.0
     perturb_mode: int = 2
 
     def __post_init__(self):
-        kinds = ("Sphere", "Cylinder", "Veronese", "GeodesicCapSphere", "TorusSeed")
+        kinds = ("Sphere", "Cylinder", "Veronese", "TorusSeed")
         if self.kind not in kinds:
             raise ValueError(f"unknown solution kind {self.kind!r}; expected one of {kinds}")
         if self.n < 1 or self.k < 1:
@@ -91,8 +88,6 @@ class SolutionSpec:
             raise ValueError("cylinder flat factor requires 1 <= m < n")
         if self.kind == "Veronese" and (self.n, self.k) != (2, 3):
             raise ValueError("the Veronese solution forces n=2, k=3")
-        if self.kind == "GeodesicCapSphere" and not (0 < self.rho0 < math.pi * self.R_amb):
-            raise ValueError("cap radius must lie in (0, pi * R_amb)")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
 
@@ -187,11 +182,8 @@ def cap_radius(n: int, R_amb: float, rho0: float, t0: float, t: float) -> float:
 
 
 def _latlong_angles(grid: ParamGrid):
-    n_th, n_ph = grid.res
-    dth, dph = grid.spacing
-    theta = (np.arange(n_th) + 0.5) * dth
-    phi = np.arange(n_ph) * dph
-    return np.meshgrid(theta, phi, indexing="ij")
+    phi = np.arange(grid.res[1]) * grid.spacing[1]
+    return np.meshgrid(grid.theta_values(), phi, indexing="ij")
 
 
 def _sphere_positions(spec: SolutionSpec, grid: ParamGrid, radius: float) -> np.ndarray:
@@ -257,22 +249,19 @@ def seed_immersion(spec: SolutionSpec, grid: ParamGrid, t: float) -> DiscreteImm
         return DiscreteImmersion(grid=grid, n=2, k=spec.k, positions=pos, t=t,
                                  wrap_offsets={1: offset})
 
-    if spec.kind == "TorusSeed":
-        if grid.topology != "Torus2":
-            raise ValueError("flat product torus seeds require a Torus2 grid")
-        if spec.k < 2:
-            raise ValueError("the product torus needs codimension k >= 2")
-        a = spec.radius
-        n0, n1 = grid.res
-        u = np.arange(n0) * grid.spacing[0]
-        v = np.arange(n1) * grid.spacing[1]
-        U, V = np.meshgrid(u, v, indexing="ij")
-        pos = np.zeros((n0, n1, 2 + spec.k))
-        pos[..., 0] = a * np.cos(U)
-        pos[..., 1] = a * np.sin(U)
-        pos[..., 2] = a * np.cos(V)
-        pos[..., 3] = a * np.sin(V)
-        return DiscreteImmersion(grid=grid, n=2, k=spec.k, positions=pos, t=t)
-
-    raise ValueError(f"solution kind {spec.kind!r} has no mesh representation; "
-                     "spherical caps are tracked by the scalar radius law")
+    # TorusSeed, the remaining kind
+    if grid.topology != "Torus2":
+        raise ValueError("flat product torus seeds require a Torus2 grid")
+    if spec.k < 2:
+        raise ValueError("the product torus needs codimension k >= 2")
+    a = spec.radius
+    n0, n1 = grid.res
+    u = np.arange(n0) * grid.spacing[0]
+    v = np.arange(n1) * grid.spacing[1]
+    U, V = np.meshgrid(u, v, indexing="ij")
+    pos = np.zeros((n0, n1, 2 + spec.k))
+    pos[..., 0] = a * np.cos(U)
+    pos[..., 1] = a * np.sin(U)
+    pos[..., 2] = a * np.cos(V)
+    pos[..., 3] = a * np.sin(V)
+    return DiscreteImmersion(grid=grid, n=2, k=spec.k, positions=pos, t=t)

@@ -70,43 +70,38 @@ class SphereAmbient:
 
 @dataclass(frozen=True)
 class SphereAux:
-    """The auxiliary ratio f and the reaction group of its evolution.
-
-    termI is None unless gradient data was supplied (it needs |grad h|^2 and
-    |grad H|^2, which only discrete surfaces provide).
-    """
+    """The auxiliary ratio f = |h0|^2 / (|H|^2 + b) at a point, with its
+    eps and offset b; the reaction group is :func:`term_II`."""
 
     eps: float
     b: float
     f: float
-    termII: float | None = None
-    termI: float | None = None
 
 
 def _offset(n: int, K: float, eps: float) -> float:
     return (1.0 - eps) * K * n * (n - 1)
 
 
-def batch_aux_f(h: np.ndarray, amb: SphereAmbient, eps: float) -> np.ndarray:
-    """f = |h0|^2 / (|H|^2 + b) for a stack of tensors."""
-    n = h.shape[1]
-    normH2, _, normh02 = batch_scalars(h)
-    b = _offset(n, amb.K, eps)
-    denom = normH2 + b
+def _denominator(normH2, n: int, K: float, eps: float):
+    """|H|^2 + b; MinimalPointError where it is not positive (|H| = 0 with
+    b = 0), since f and both groups of its evolution divide by it."""
+    denom = normH2 + _offset(n, K, eps)
     if np.any(denom <= 0):
         raise MinimalPointError("f undefined: |H|^2 + b must be positive")
-    return normh02 / denom
+    return denom
+
+
+def batch_aux_f(h: np.ndarray, amb: SphereAmbient, eps: float) -> np.ndarray:
+    """f = |h0|^2 / (|H|^2 + b) for a stack of tensors."""
+    normH2, _, normh02 = batch_scalars(h)
+    return normh02 / _denominator(normH2, h.shape[1], amb.K, eps)
 
 
 def batch_term_II(h: np.ndarray, amb: SphereAmbient, eps: float) -> np.ndarray:
     """Reaction group of the evolution of f, assembled from the full display."""
-    n = h.shape[1]
-    K = amb.K
+    n, K = h.shape[1], amb.K
     normH2, _, normh02 = batch_scalars(h)
-    b = _offset(n, K, eps)
-    denom = normH2 + b
-    if np.any(denom <= 0):
-        raise MinimalPointError("reaction group undefined: |H| = 0 with b = 0")
+    denom = _denominator(normH2, n, K, eps)
     R1, R2 = batch_reaction_terms(h)
     inner = (R1 - R2 / n - n * K * normh02
              - R2 * normh02 / denom - n * K * normh02 * normH2 / denom)
@@ -168,26 +163,20 @@ def gradient_coefficient(n: int) -> Fraction:
 
 
 def term_I_bound_check(n: int, eps: float, grad_h_sq: float, grad_H_sq: float,
-                       normH2: float, normh02: float,
-                       amb: SphereAmbient | None = None):
+                       normH2: float, normh02: float):
     """Evaluate the gradient group I and its coefficient bound.
 
     Returns (coefficient, bound, I) where coefficient is the exact rational
     3/(n+2) - 1/n - 3/(n(n-1)), bound = -(2/(|H|^2+b)) * coefficient *
     |grad H|^2, and I = -(2/(|H|^2+b)) (|grad h|^2 - |grad H|^2/n -
-    f |grad H|^2).  The ambient defaults to the unit sphere (the specified
-    argument list carries no curvature scale of its own).  Only n >= 4 is
-    accepted; that is the range on which the bound is claimed.
+    f |grad H|^2).  The ambient is the unit sphere, K = 1 (the argument list
+    carries no curvature scale of its own).  Only n >= 4 is accepted; that is
+    the range on which the bound is claimed.
     """
     if n < 4:
         raise ValueError("the gradient-group bound is only claimed for n >= 4")
-    if amb is None:
-        amb = SphereAmbient(1.0)
     coeff = gradient_coefficient(n)
-    b = _offset(n, amb.K, eps)
-    denom = normH2 + b
-    if denom <= 0:
-        raise MinimalPointError("|H|^2 + b must be positive")
+    denom = _denominator(normH2, n, 1.0, eps)
     f = normh02 / denom
     bound = -(2.0 / denom) * float(coeff) * grad_H_sq
     term_i = -(2.0 / denom) * (grad_h_sq - grad_H_sq / n - f * grad_H_sq)

@@ -38,6 +38,7 @@ from mcflow.sampling import (
     pinched_tensors,
     random_rotations,
     rotate_point,
+    rotate_tensors,
     symmetric_tensors,
 )
 
@@ -349,6 +350,16 @@ class TestFrameInvariance:
         assert np.abs(e0 - e1).max() <= 1e-10 * max(1.0, np.abs(e0).max())
         assert abs(normal_curvature(pc).norm_sq - normal_curvature(rot).norm_sq) \
             <= 1e-10 * max(1.0, normal_curvature(pc).norm_sq)
+
+    @pytest.mark.parametrize("n,k", [(2, 2), (3, 3), (4, 2), (3, 4)])
+    def test_rotate_point_matches_rotate_tensors(self, n, k):
+        # one convention for both: h'_{ijb} = O_ip O_jq U_ab h_{pqa}
+        rng = generator(18, n, k)
+        h = symmetric_tensors(rng, 1, n, k)
+        o_tan, o_nor = random_rotations(rng, 1, n), random_rotations(rng, 1, k)
+        batch = rotate_tensors(h, o_tan, o_nor)[0]
+        point = rotate_point(PointCurvature(h[0]), o_tan[0], o_nor[0]).h
+        assert np.abs(point - batch).max() <= 1e-14 * max(1.0, np.abs(batch).max())
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0.1, 10.0), st.integers(0, 10_000))

@@ -167,7 +167,7 @@ class TestNormalFrame:
 
     def test_aligned_field_is_continuous(self):
         im = unit_sphere((16, 32), k=2)
-        frames = normal_frame_field(im, align=True)
+        frames = normal_frame_field(im)
         # neighbouring frames along the serpentine path stay close
         jumps = np.linalg.norm(frames[:, 1:] - frames[:, :-1], axis=(-2, -1))
         assert jumps.max() < 0.5

@@ -191,9 +191,8 @@ class TestSeedImmersion:
             seed_immersion(SolutionSpec(kind="Sphere", n=2, k=1), grid, 0.0)
         with pytest.raises(ValueError):
             seed_immersion(SolutionSpec(kind="Veronese", n=2, k=3), grid, 0.0)
-        cap = SolutionSpec(kind="GeodesicCapSphere", n=2, k=1, rho0=1.0)
         with pytest.raises(ValueError):
-            seed_immersion(cap, grid, 0.0)
+            seed_immersion(SolutionSpec(kind="GeodesicCapSphere", n=2, k=1), grid, 0.0)
 
     def test_perturbation_smooth_across_poles(self):
         # the seed must satisfy F(-theta, phi) = F(theta, phi + pi), which the

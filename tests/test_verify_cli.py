@@ -176,10 +176,12 @@ class TestCliVerify:
         ("--suite", "reaction", "--n", "4", "--c", "0.2"),  # c <= 1/n: no cell
         ("--suite", "f-bound", "--eps", "nan"),
         ("--suite", "lemma31", "--threads", "1"),
+        ("--suite", "lemma31", "--samples", "100", "--out", "{tmp}/missing/r.csv"),
     ])
     def test_meaningless_run_is_usage_error(self, tmp_path, capsys, argv):
         rep = tmp_path / "r.csv"
-        assert run_cli("verify", *argv, "--out", str(rep)) == 64
+        argv = [a.format(tmp=tmp_path) for a in argv]   # a later --out wins
+        assert run_cli("verify", "--out", str(rep), *argv) == 64
         captured = capsys.readouterr()
         assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
         assert captured.out == ""
@@ -275,8 +277,45 @@ class TestCliReport:
         (run_dir / snaps[0]).write_text("MCFLOW v1 garbage\n")
         assert run_cli("report", "--in", str(run_dir), "--classify") == 65
 
+    def test_truncated_diagnostics_row_is_data_error(self, run_dir, capsys):
+        path = run_dir / "diagnostics.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:7])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("report", "--in", str(run_dir), "--classify") == 65
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
 
-GOLDEN = Path(__file__).parent / "data" / "verify_all_2000_seed42.csv"
+    def test_bad_fit_window_is_usage_error(self, run_dir, capsys):
+        capsys.readouterr()
+        assert run_cli("report", "--in", str(run_dir), "--fit-area-decay",
+                       "--fit-window", "0.1") == 64
+        err = capsys.readouterr().err
+        assert err == "usage error: bad window '0.1'; expected lo:hi\n"
+        assert not (run_dir / "area_fit.csv").exists()
+
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "verify_all_2000_seed42.csv"
+
+
+def assert_matches_golden(path, golden):
+    """Header and row count exactly; numeric fields within 1e-12 absolute +
+    1e-9 relative (LAPACK builds may differ in the last digits), the others
+    exactly."""
+    got, want = Path(path).read_text().splitlines(), golden.read_text().splitlines()
+    assert got[0] == want[0] and len(got) == len(want), golden.name
+    for g_row, w_row in zip(got[1:], want[1:]):
+        g_vals, w_vals = g_row.split(","), w_row.split(",")
+        assert len(g_vals) == len(w_vals), golden.name
+        for col, g, w in zip(want[0].split(","), g_vals, w_vals):
+            try:
+                gv, wv = float(g), float(w)
+            except ValueError:
+                assert g == w, (golden.name, col)
+                continue
+            assert g == w or abs(gv - wv) <= 1e-12 + 1e-9 * abs(wv), (golden.name, col, g, w)
 
 
 class TestDeterminism:
@@ -315,6 +354,29 @@ class TestDeterminism:
             assert [g[c] for c in exact] == [w[c] for c in exact]
             gm, wm = float(g["worstMargin"]), float(w["worstMargin"])
             assert abs(gm - wm) <= 1e-12 + 1e-9 * abs(wm), (w["suite"], w["n"], w["k"])
+
+    def test_forward_flow_matches_golden(self, tmp_path):
+        """The flow path pinned like the fuzz report: a perturbed 16x32 sphere
+        in R^4 flowed forward to t = 0.17, against committed diagnostics."""
+        out = tmp_path / "pert"
+        assert run_cli("simulate", "--spec", "sphere", "--k", "2", "--grid", "16x32",
+                       "--perturb", "0.02:3", "--t-end", "0.17", "--out", str(out)) == 0
+        assert_matches_golden(out / "diagnostics.csv",
+                              DATA / "sphere_k2_16x32_perturb_diagnostics.csv")
+
+    def test_ancient_report_matches_golden(self, tmp_path):
+        """An Ancient Veronese run recording every step, then its type-I
+        classification, area fit and type-2 blow-up, against committed CSVs."""
+        out = tmp_path / "ver"
+        assert run_cli("simulate", "--spec", "veronese", "--grid", "24x48",
+                       "--mode", "ancient", "--t0", "-1", "--t-end", "-0.9",
+                       "--snapshot-every", "1", "--out", str(out)) == 0
+        assert run_cli("report", "--in", str(out), "--classify", "--fit-area-decay",
+                       "--rescale", "type2") == 0
+        for name, golden in (("diagnostics.csv", "diagnostics"), ("classify.csv", "classify"),
+                             ("area_fit.csv", "area_fit"),
+                             ("rescale_type2/summary.csv", "type2_summary")):
+            assert_matches_golden(out / name, DATA / f"veronese_24x48_ancient_{golden}.csv")
 
     def test_entry_point_subprocess(self, tmp_path):
         # the installed console script path works end to end
