@@ -82,14 +82,35 @@ def _load_config_file(path) -> dict:
 
 
 def _resolve(args, key: str, default, cast):
-    """Precedence: explicit flag > config file > default."""
+    """Precedence: explicit flag > config file > default.  A config value
+    that ``cast`` refuses is a ValueError naming the key."""
     val = getattr(args, key, None)
     if val is not None:
         return val
     cfg = getattr(args, "_config_values", {})
     if key in cfg:
-        return cast(cfg[key])
+        try:
+            return cast(cfg[key])
+        except ValueError as exc:
+            raise ValueError(f"bad {key} {cfg[key]!r} in the config file: {exc}") from None
     return default
+
+
+def _choice(names):
+    """Cast for the config value of an option with fixed choices."""
+    def cast(text: str) -> str:
+        if text not in names:
+            raise ValueError(f"expected one of {', '.join(names)}")
+        return text
+    return cast
+
+
+def _switch(text: str) -> bool:
+    """Cast for the config value of an on/off flag."""
+    val = text.lower()
+    if val not in ("1", "true", "0", "false"):
+        raise ValueError("expected 1, true, 0 or false")
+    return val in ("1", "true")
 
 
 def _write_manifest(out_dir: str, payload: dict) -> None:
@@ -105,9 +126,14 @@ def _write_manifest(out_dir: str, payload: dict) -> None:
 # simulate
 # ---------------------------------------------------------------------------
 
+_KINDS = {"sphere": "Sphere", "cylinder": "Cylinder",
+          "veronese": "Veronese", "torus": "TorusSeed"}
+_MODES = {"forward": "Forward", "ancient": "Ancient"}
+
+
 def _add_simulate(sub):
     p = sub.add_parser("simulate", help="flow a seed surface and record diagnostics")
-    p.add_argument("--spec", choices=("sphere", "cylinder", "veronese", "torus"))
+    p.add_argument("--spec", choices=tuple(_KINDS))
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--radius", type=float)
@@ -115,7 +141,7 @@ def _add_simulate(sub):
     p.add_argument("--perturb", type=str)
     p.add_argument("--t-end", dest="t_end", type=float)
     p.add_argument("--t0", type=float)
-    p.add_argument("--mode", choices=("forward", "ancient"))
+    p.add_argument("--mode", choices=tuple(_MODES))
     p.add_argument("--cfl", type=float)
     p.add_argument("--snapshot-every", dest="snapshot_every", type=int)
     p.add_argument("--max-steps", dest="max_steps", type=int)
@@ -125,7 +151,7 @@ def _add_simulate(sub):
 
 
 def _build_seed(args):
-    spec_name = _resolve(args, "spec", None, str)
+    spec_name = _resolve(args, "spec", None, _choice(_KINDS))
     if spec_name is None:
         raise _UsageError("--spec is required")
     n = _resolve(args, "n", 2, int)
@@ -138,8 +164,7 @@ def _build_seed(args):
     if perturb:
         amp, mode_no = _parse_pair(perturb, ":", (float, int), "--perturb value", "amp:mode")
 
-    kind = {"sphere": "Sphere", "cylinder": "Cylinder",
-            "veronese": "Veronese", "torus": "TorusSeed"}[spec_name]
+    kind = _KINDS[spec_name]
     if kind == "Veronese":
         n, k = 2, 3
     if k is None:
@@ -168,8 +193,7 @@ def cmd_simulate(args) -> int:
         out_dir = _resolve(args, "out", None, str)
         if not out_dir:
             raise _UsageError("--out is required")
-        mode = {"forward": "Forward", "ancient": "Ancient"}[
-            _resolve(args, "mode", "forward", str)]
+        mode = _MODES[_resolve(args, "mode", "forward", _choice(_MODES))]
         config = FlowConfig(
             t_end=t_end,
             cfl=_resolve(args, "cfl", 0.2, float),
@@ -290,10 +314,13 @@ def cmd_verify(args) -> int:
 # report
 # ---------------------------------------------------------------------------
 
+_RESCALES = ("type1", "type2")
+
+
 def _add_report(sub):
     p = sub.add_parser("report", help="post-process a simulation directory")
     p.add_argument("--in", dest="in_dir", type=str)
-    p.add_argument("--rescale", choices=("type1", "type2"))
+    p.add_argument("--rescale", choices=_RESCALES)
     p.add_argument("--classify", action="store_true", default=None)
     p.add_argument("--fit-area-decay", dest="fit_area", action="store_true", default=None)
     p.add_argument("--tj", type=float)
@@ -335,14 +362,21 @@ def _rescaled_summary(result, path):
 def cmd_report(args) -> int:
     """Classify, fit and rescale the run in ``--in``, writing into it; a run
     these analyses cannot use is a data error (exit 65)."""
-    in_dir = _resolve(args, "in_dir", None, str)
-    window_txt = getattr(args, "fit_window", None)
     try:
+        in_dir = _resolve(args, "in_dir", None, str)
         if not in_dir:
             raise _UsageError("--in is required")
+        window_txt = _resolve(args, "fit_window", None, str)
         window = (_parse_pair(window_txt, ":", (float, float), "window", "lo:hi")
                   if window_txt else None)
-    except _UsageError as exc:
+        classify = _resolve(args, "classify", False, _switch)
+        fit_area = _resolve(args, "fit_area", False, _switch)
+        rescale = _resolve(args, "rescale", None, _choice(_RESCALES))
+        tj = _resolve(args, "tj", None, float)
+        n_tau = _resolve(args, "n_tau", 11, int)
+        if n_tau < 1:
+            raise _UsageError(f"--n-tau must be at least 1; got {n_tau}")
+    except (_UsageError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -352,7 +386,7 @@ def cmd_report(args) -> int:
         return EXIT_DATA
 
     try:
-        if getattr(args, "classify", None):
+        if classify:
             res = classify_type(traj)
             with open(os.path.join(in_dir, "classify.csv"), "w") as fh:
                 fh.write("kind,C,C2,supTIq,trend\n")
@@ -360,25 +394,23 @@ def cmd_report(args) -> int:
                          f"{res.sup_tIq:.17g},{res.trend:.17g}\n")
             print(f"{res.kind} C2={res.C ** 2:.6g} trend={res.trend:.4f}")
 
-        if getattr(args, "fit_area", None):
+        if fit_area:
             c_fit, r_fit = fit_area_decay(traj, window)
             with open(os.path.join(in_dir, "area_fit.csv"), "w") as fh:
                 fh.write("c,r,mode\n")
                 fh.write(f"{c_fit:.17g},{r_fit:.17g},{traj.mode}\n")
             print(f"area ~ c|t|^r fit: c={c_fit:.6g} r={r_fit:.4f}")
 
-        rescale = getattr(args, "rescale", None)
         if rescale:
             if rescale == "type2":
                 result = blowup_type2(traj)
             else:
-                tj = getattr(args, "tj", None)
                 if tj is None:
                     times = traj.times
                     tj = float(times[0] / 2.0) if traj.mode == "Ancient" else None
                     if tj is None or tj >= 0:
                         raise ValueError("--tj is required for type1 on this trajectory")
-                result = rescale_type1(traj, tj, n_tau=getattr(args, "n_tau", None) or 11)
+                result = rescale_type1(traj, tj, n_tau=n_tau)
             sub = os.path.join(in_dir, f"rescale_{rescale}")
             os.makedirs(sub, exist_ok=True)
             for i, snap in enumerate(result.trajectory.snapshots):

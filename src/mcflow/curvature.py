@@ -187,8 +187,11 @@ def batch_normal_curvature(h: np.ndarray) -> np.ndarray:
     return r - r.transpose(0, 2, 1, 3, 4)
 
 
-def batch_reaction_terms(h: np.ndarray):
-    """(R1, R2) for a stack of tensors; both shape (B,)."""
+# samples per block of batch_reaction_terms
+_REACTION_BLOCK = 512
+
+
+def _reaction_block(h: np.ndarray):
     Hv = batch_mean_vector(h)
     C = np.einsum("bija,bijc->bac", h, h)
     rp = batch_normal_curvature(h)
@@ -198,10 +201,26 @@ def batch_reaction_terms(h: np.ndarray):
     return R1, R2
 
 
+def batch_reaction_terms(h: np.ndarray):
+    """(R1, R2) for a stack of tensors; both shape (B,).
+
+    Evaluated in blocks of 512 samples, so the (block, n, n, k, k) normal
+    curvature intermediates bound the memory, not the batch size.  Each
+    sample's arithmetic is the same in every block, so the results do not
+    depend on the block.
+    """
+    R1, R2 = np.empty(h.shape[0]), np.empty(h.shape[0])
+    for start in range(0, h.shape[0], _REACTION_BLOCK):
+        end = start + _REACTION_BLOCK
+        R1[start:end], R2[start:end] = _reaction_block(h[start:end])
+    return R1, R2
+
+
 def batch_gauss_operator(h: np.ndarray, ambient_k: float = 0.0) -> np.ndarray:
     """Curvature operator matrices, shape (B, N, N) with N = n(n-1)/2."""
     n = h.shape[1]
-    rfull = np.einsum("bika,bjla->bijkl", h, h) - np.einsum("bjka,bila->bijkl", h, h)
+    r = np.einsum("bika,bjla->bijkl", h, h)
+    rfull = r - r.transpose(0, 2, 1, 3, 4)
     pairs = list(itertools.combinations(range(n), 2))  # lexicographic, i < j
     ii = np.array([p[0] for p in pairs])
     jj = np.array([p[1] for p in pairs])

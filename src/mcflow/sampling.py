@@ -135,8 +135,22 @@ def random_rotations(rng: np.random.Generator, count: int, d: int) -> np.ndarray
 
 
 def rotate_tensors(h: np.ndarray, o_tan: np.ndarray, o_nor: np.ndarray) -> np.ndarray:
-    """Apply tangent rotation O and normal rotation U: h'_{ijb} = O_ip O_jq U_ab h_{pqa}."""
-    return np.einsum("zip,zjq,zab,zpqa->zijb", o_tan, o_tan, o_nor, h)
+    """Apply tangent rotation O and normal rotation U: h'_{ijb} = O_ip O_jq U_ab h_{pqa}.
+
+    Contracted as three two-operand products: the normal factor first, then
+    the first and the second tangent factor, about (n^3 k + n^2 k^2) work per
+    sample instead of the n^4 k^2 of one four-operand loop.  The sample axis
+    is moved last so that each product's inner loop runs over the batch, and
+    the last product reuses the first one's buffer.
+    """
+    def batch_last(a):
+        return np.ascontiguousarray(np.moveaxis(a, 0, -1))
+
+    o_t = batch_last(o_tan)
+    t = np.einsum("pqaz,abz->pqbz", batch_last(h), batch_last(o_nor))
+    s = np.einsum("ipz,pqbz->iqbz", o_t, t)
+    r = np.einsum("jqz,iqbz->ijbz", o_t, s, out=t)
+    return np.ascontiguousarray(np.moveaxis(r, -1, 0))
 
 
 def rotate_point(pc: PointCurvature, o_tan: np.ndarray, o_nor: np.ndarray) -> PointCurvature:

@@ -4,6 +4,7 @@ Reference values are hand evaluations on the round sphere (h = identity,
 |H|^2 = n^2, |h|^2 = n) and the cylinder point h = diag(1, 0).
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -383,3 +384,65 @@ class TestFrameInvariance:
         # the sign of R1 - c R2 is scale invariant
         c = 0.37
         assert math.copysign(1, r11 - c * r21) == math.copysign(1, r10 - c * r20)
+
+
+def rotate_by_loops(h, o_tan, o_nor):
+    """h'_{ijb} = sum_{p,q,a} O_ip O_jq U_ab h_{pqa}, one entry at a time."""
+    count, n, _, k = h.shape
+    out = np.zeros_like(h)
+    for z, i, j, b in itertools.product(range(count), range(n), range(n), range(k)):
+        out[z, i, j, b] = sum(o_tan[z, i, p] * o_tan[z, j, q] * o_nor[z, a, b] * h[z, p, q, a]
+                              for p in range(n) for q in range(n) for a in range(k))
+    return out
+
+
+class TestBatchKernels:
+    """The fuzz kernels against their definitions: the ordered contractions
+    of rotate_tensors and the sample blocks of batch_reaction_terms."""
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (5, 4), (6, 3)])
+    def test_rotate_tensors_matches_index_loops(self, n, k):
+        rng = generator(31, n, k)
+        h = symmetric_tensors(rng, 4, n, k)
+        o_tan, o_nor = random_rotations(rng, 4, n), random_rotations(rng, 4, k)
+        ref = rotate_by_loops(h, o_tan, o_nor)
+        got = rotate_tensors(h, o_tan, o_nor)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (5, 4), (6, 3)])
+    def test_rotate_tensors_round_trip(self, n, k):
+        rng = generator(32, n, k)
+        h = symmetric_tensors(rng, 50, n, k)
+        o_tan, o_nor = random_rotations(rng, 50, n), random_rotations(rng, 50, k)
+        there = rotate_tensors(h, o_tan, o_nor)
+        back = rotate_tensors(there, o_tan.transpose(0, 2, 1), o_nor.transpose(0, 2, 1))
+        assert np.abs(back - h).max() <= 1e-13 * np.abs(h).max()
+
+    @pytest.fixture()
+    def stack(self):
+        # two full blocks of 512 samples and three more
+        return symmetric_tensors(generator(33), 2 * 512 + 3, 4, 3)
+
+    def test_reaction_terms_blocks_match_pointwise(self, stack):
+        R1, R2 = batch_reaction_terms(stack)
+        point = np.array([reaction_terms(PointCurvature(h)) for h in stack])
+        assert np.abs(R1 - point[:, 0]).max() <= 1e-12 * np.abs(point[:, 0]).max()
+        assert np.abs(R2 - point[:, 1]).max() <= 1e-12 * np.abs(point[:, 1]).max()
+
+    @pytest.mark.parametrize("lo,hi", [(0, 1), (510, 515), (511, 1025), (1023, 1027)])
+    def test_reaction_terms_independent_of_blocks(self, stack, lo, hi):
+        R1, R2 = batch_reaction_terms(stack)
+        r1, r2 = batch_reaction_terms(stack[lo:hi])
+        assert np.array_equal(R1[lo:hi], r1) and np.array_equal(R2[lo:hi], r2)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_gauss_operator_matches_two_products(self, n):
+        pairs = list(itertools.combinations(range(n), 2))
+        ii = np.array([p[0] for p in pairs])[:, None]
+        jj = np.array([p[1] for p in pairs])[:, None]
+        for k in range(1, 5):
+            h = symmetric_tensors(generator(34, n, k), 200, n, k)
+            rfull = (np.einsum("bika,bjla->bijkl", h, h)
+                     - np.einsum("bjka,bila->bijkl", h, h))
+            want = rfull[:, ii, jj, ii.T, jj.T]
+            assert np.array_equal(batch_gauss_operator(h), want), (n, k)

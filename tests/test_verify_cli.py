@@ -134,6 +134,15 @@ class TestCliSimulate:
         assert manifest["config"]["t_end"] == 0.01     # flag beats config file
         assert manifest["config"]["snapshot_every"] == 5
 
+    @pytest.mark.parametrize("line", ["spec=cube", "mode=sideways"])
+    def test_bad_config_choice_is_usage_error(self, tmp_path, capsys, line):
+        cfg = tmp_path / "flow.cfg"
+        cfg.write_text(f"spec=sphere\ngrid=16x32\nt_end=0.01\n{line}\n")
+        capsys.readouterr()
+        assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "run")) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+
 
 class TestCliVerify:
     def test_clean_suite_exit_zero(self, tmp_path):
@@ -294,6 +303,29 @@ class TestCliReport:
         err = capsys.readouterr().err
         assert err == "usage error: bad window '0.1'; expected lo:hi\n"
         assert not (run_dir / "area_fit.csv").exists()
+
+    def test_config_file_sets_report_options(self, run_dir, tmp_path):
+        outputs = ("classify.csv", "rescale_type2/summary.csv")
+        assert run_cli("report", "--in", str(run_dir), "--rescale", "type2",
+                       "--classify") == 0
+        by_flags = [(run_dir / f).read_bytes() for f in outputs]
+        (run_dir / "classify.csv").unlink()
+        (run_dir / "rescale_type2" / "summary.csv").unlink()
+        cfg = tmp_path / "report.cfg"
+        cfg.write_text(f"in_dir={run_dir}\nrescale=type2\nclassify=1\n")
+        assert run_cli("report", "--config", str(cfg)) == 0
+        assert [(run_dir / f).read_bytes() for f in outputs] == by_flags
+
+    @pytest.mark.parametrize("line", ["rescale=type3", "tj=soon", "n_tau=many", "n_tau=0",
+                                      "classify=maybe", "fit_window=abc"])
+    def test_bad_config_value_is_usage_error(self, run_dir, tmp_path, capsys, line):
+        cfg = tmp_path / "report.cfg"
+        cfg.write_text(f"in_dir={run_dir}\nrescale=type1\n{line}\n")
+        capsys.readouterr()
+        assert run_cli("report", "--config", str(cfg)) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert not (run_dir / "rescale_type1").exists()
 
 
 DATA = Path(__file__).parent / "data"
