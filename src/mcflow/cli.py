@@ -413,6 +413,10 @@ def cmd_report(args) -> int:
                 result = rescale_type1(traj, tj, n_tau=n_tau)
             sub = os.path.join(in_dir, f"rescale_{rescale}")
             os.makedirs(sub, exist_ok=True)
+            for name in os.listdir(sub):    # an earlier report's output
+                if name == "summary.csv" or (name.startswith("snap_")
+                                             and name.endswith(".txt")):
+                    os.remove(os.path.join(sub, name))
             for i, snap in enumerate(result.trajectory.snapshots):
                 save_snapshot(snap, os.path.join(sub, f"snap_{i:06d}.txt"))
             _rescaled_summary(result, os.path.join(sub, "summary.csv"))

@@ -188,26 +188,69 @@ def batch_normal_curvature(h: np.ndarray) -> np.ndarray:
 
 
 # samples per block of batch_reaction_terms
-_REACTION_BLOCK = 512
+_REACTION_BLOCK = 2048
+
+
+def _ordered_sum(rows):
+    """rows[0] + rows[1] + ..., one elementwise add per row, left to right."""
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total
+
+
+def _symmetric_sum(diag, off):
+    """sum_i p_ii + 2 sum_{i<j} p_ij over the entries of a symmetric p."""
+    total = _ordered_sum(diag)
+    if len(off):
+        total += 2.0 * _ordered_sum(off)
+    return total
 
 
 def _reaction_block(h: np.ndarray):
-    Hv = batch_mean_vector(h)
-    C = np.einsum("bija,bijc->bac", h, h)
-    rp = batch_normal_curvature(h)
-    R1 = np.einsum("bac,bac->b", C, C) + np.einsum("bijac,bijac->b", rp, rp)
-    T = np.einsum("ba,bija->bij", Hv, h)
-    R2 = np.einsum("bij,bij->b", T, T)
+    n, k = h.shape[1], h.shape[3]
+    x = np.ascontiguousarray(h.transpose(1, 2, 3, 0))       # (n, n, k, b)
+    d, (i, j) = np.arange(n), np.triu_indices(n, 1)
+    H = _ordered_sum(x[d, d])
+    T = _ordered_sum([H[a] * x[:, :, a] for a in range(k)])  # T_ij = sum_a H_a h_ija
+    R2 = _symmetric_sum(T[d, d] ** 2, T[i, j] ** 2)
+    C = _symmetric_sum([r[:, None] * r[None] for r in x[d, d]],
+                       [r[:, None] * r[None] for r in x[i, j]])  # (k, k, b)
+    e, (a, c) = np.arange(k), np.triu_indices(k, 1)
+    R1 = _symmetric_sum(C[e, e] ** 2, C[a, c] ** 2)
+    if n == 1 or k == 1:
+        return R1, R2
+    # Rp_ac = [A_a, A_c] for the traceless slices A_a = h_a - (H_a / n) I
+    A = x.copy()
+    A[d, d] -= H / n
+    i, j, a, c = i[:, None], j[:, None], a[None], c[None]
+    Rp = _ordered_sum([A[i, p, a] * A[j, p, c] - A[i, p, c] * A[j, p, a]
+                       for p in range(n)])                  # (P, Q, b): i < j, a < c
+    R1 += 4.0 * _ordered_sum((Rp ** 2).reshape(-1, Rp.shape[-1]))
     return R1, R2
 
 
 def batch_reaction_terms(h: np.ndarray):
     """(R1, R2) for a stack of tensors; both shape (B,).
 
-    Evaluated in blocks of 512 samples, so the (block, n, n, k, k) normal
-    curvature intermediates bound the memory, not the batch size.  Each
-    sample's arithmetic is the same in every block, so the results do not
-    depend on the block.
+    Each block of 2048 samples is copied sample-last to (n, n, k, block), and
+    every sum over i, j, a, c is a fixed chain of elementwise products and
+    adds of length-block rows, over the independent entries only:
+
+    * sum_ij p_ij q_ij = sum_i p_ii q_ii + 2 sum_{i<j} p_ij q_ij for p, q
+      symmetric in (i, j), which gives C_ac = sum_ij h_ija h_ijc and R2;
+    * sum_ac C_ac^2 = sum_a C_aa^2 + 2 sum_{a<c} C_ac^2;
+    * Rp_ac = [A_a, A_c], the commutator of the traceless slices, is
+      antisymmetric in (i, j) and in (a, c), so |Rp|^2 is
+      4 sum_{a<c} sum_{i<j} [A_a, A_c]_ij^2 and vanishes for k = 1.
+
+    R1 adds the three partial sums (diagonal C, off-diagonal C, Rp) last.
+    Nothing calls a reduction (``sum``, ``einsum``), whose loop order numpy
+    picks from the array shapes, and elementwise ufuncs round each sample
+    alike whatever the row length, so every sample gets the same arithmetic
+    in any block or batch: the results do not depend on the block, and
+    ``reaction_terms`` of one tensor equals its row here.  The fixed block
+    bounds the memory, not the batch size.
     """
     R1, R2 = np.empty(h.shape[0]), np.empty(h.shape[0])
     for start in range(0, h.shape[0], _REACTION_BLOCK):

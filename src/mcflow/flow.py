@@ -251,38 +251,18 @@ def step(im: DiscreteImmersion, dt: float, integrator: str = "RK4",
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def _fsigma(im: DiscreteImmersion, sigma: float, gf: ScalarFields | None):
-    """(extraction, f_sigma field); MinimalPointError when any node's |H|^2
-    falls below 1e-14 times the maximum, where the functional degenerates."""
+def fsigma_integral(im: DiscreteImmersion, sigma: float, p: float,
+                    gf: ScalarFields | None = None) -> tuple[float, float]:
+    """(integral of f_sigma^p, max f_sigma) with f_sigma = |h0|^2 / |H|^(2(1-sigma));
+    MinimalPointError when any node's |H|^2 falls below 1e-14 times the
+    maximum, where the functional degenerates."""
     if gf is None:
         gf = scalar_fields(im)
     hmax = float(gf.normH2.max())
     if hmax <= 0 or float(gf.normH2.min()) < 1e-14 * hmax:
         raise MinimalPointError("f_sigma undefined near minimal points (|H| ~ 0)")
-    return gf, gf.normh02 / gf.normH2 ** (1.0 - sigma)
-
-
-def fsigma_integral(im: DiscreteImmersion, sigma: float, p: float,
-                    gf: ScalarFields | None = None) -> tuple[float, float]:
-    """(integral of f_sigma^p, max f_sigma) with f_sigma = |h0|^2 / |H|^(2(1-sigma))."""
-    gf, f = _fsigma(im, sigma, gf)
+    f = gf.normh02 / gf.normH2 ** (1.0 - sigma)
     return integrate(im, f ** p, gf), float(f.max())
-
-
-def fsigma_scaling_report(im: DiscreteImmersion, sigma: float, p: float,
-                          gf: ScalarFields | None = None):
-    """Report-only comparison of the two sides of the interpolation step.
-
-    With gamma = 1 + 2/(sigma p), returns (integral of f_sigma^(gamma p),
-    integral of |H|^2 f_sigma^p, their ratio).  The two sides scale
-    differently under dilation, so no inequality between them is asserted
-    anywhere; this exists to make the comparison inspectable.
-    """
-    gf, f = _fsigma(im, sigma, gf)
-    gamma = 1.0 + 2.0 / (sigma * p)
-    lhs = integrate(im, f ** (gamma * p), gf)
-    rhs = integrate(im, gf.normH2 * f ** p, gf)
-    return lhs, rhs, (lhs / rhs if rhs > 0 else math.inf)
 
 
 def _type1_weight(t, mode: str, T: Optional[float]):

@@ -27,6 +27,7 @@ from mcflow import (
     traceless,
 )
 from mcflow.curvature import (
+    _REACTION_BLOCK as BLOCK,
     batch_gauss_operator,
     batch_normal_curvature,
     batch_reaction_estimate_gap,
@@ -184,12 +185,14 @@ class TestReactionTerms:
         assert r1.min() >= 0.0 and r2.min() >= 0.0
 
     def test_r1_decomposition_matches_normal_curvature(self, rng):
-        h = symmetric_tensors(rng, 100, 3, 3)
-        r1, _ = batch_reaction_terms(h)
-        c = np.einsum("bija,bijc->bac", h, h)
-        rp = batch_normal_curvature(h)
-        rp2 = np.einsum("bijac,bijac->b", rp, rp)
-        assert np.array_equal(r1, np.einsum("bac,bac->b", c, c) + rp2)
+        # R1 = |C|^2 + |Rp|^2 evaluated exactly from the index formulas; the
+        # kernel's fixed-order sums stay within ULPS rounding units of it
+        for n, k, count in ((3, 3, 100), (6, 2, 10), (6, 4, 5)):
+            h = symmetric_tensors(rng, count, n, k)
+            r1, _ = batch_reaction_terms(h)
+            for got, sample in zip(r1, h):
+                c2, rp2, _ = exact_reaction_parts(sample)
+                assert relative_error(got, c2 + rp2) <= ULPS * EPS, (n, k)
 
     def test_pinched_inequality_small_fuzz(self, rng):
         for n in (2, 3, 4):
@@ -386,6 +389,47 @@ class TestFrameInvariance:
         assert math.copysign(1, r11 - c * r21) == math.copysign(1, r10 - c * r20)
 
 
+EPS = np.finfo(float).eps     # 2^-52, the spacing of floats at 1
+ULPS = 4                      # allowed relative error of R1 and R2, in EPS
+
+
+def exact_reaction_parts(h):
+    """(|C|^2, |Rp|^2, R2) of one tensor h[i, j, a] as exact fractions, from
+    the index formulas of the curvature module docstring."""
+    n, _, k = h.shape
+    f = [[[Fraction(float(h[i, j, a])) for a in range(k)] for j in range(n)]
+         for i in range(n)]
+    H = [sum(f[i][i][a] for i in range(n)) for a in range(k)]
+    h0 = [[[f[i][j][a] - (H[a] / n if i == j else 0) for a in range(k)]
+           for j in range(n)] for i in range(n)]
+    c2 = sum(sum(f[i][j][a] * f[i][j][c] for i in range(n) for j in range(n)) ** 2
+             for a in range(k) for c in range(k))
+    rp2 = sum(sum(h0[i][p][a] * h0[j][p][c] - h0[j][p][a] * h0[i][p][c]
+                  for p in range(n)) ** 2
+              for i in range(n) for j in range(n) for a in range(k) for c in range(k))
+    r2 = sum(sum(H[a] * f[i][j][a] for a in range(k)) ** 2
+             for i in range(n) for j in range(n))
+    return c2, rp2, r2
+
+
+def relative_error(got, exact):
+    return float(abs(Fraction(float(got)) - exact) / exact)
+
+
+class TestReactionAccuracy:
+    """batch_reaction_terms against exact rational arithmetic on pinched
+    tensors, up to the largest (n, k) the fuzz suites draw."""
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 7) for k in range(1, 5)])
+    def test_pinched_terms_within_ulps_of_exact(self, n, k):
+        h = pinched_tensors(generator(35, n, k), 20, n, k, 4.0 / (3.0 * n) - 0.01)
+        r1, r2 = batch_reaction_terms(h)
+        for got1, got2, sample in zip(r1, r2, h):
+            c2, rp2, exact2 = exact_reaction_parts(sample)
+            assert relative_error(got1, c2 + rp2) <= ULPS * EPS
+            assert relative_error(got2, exact2) <= ULPS * EPS
+
+
 def rotate_by_loops(h, o_tan, o_nor):
     """h'_{ijb} = sum_{p,q,a} O_ip O_jq U_ab h_{pqa}, one entry at a time."""
     count, n, _, k = h.shape
@@ -420,16 +464,21 @@ class TestBatchKernels:
 
     @pytest.fixture()
     def stack(self):
-        # two full blocks of 512 samples and three more
-        return symmetric_tensors(generator(33), 2 * 512 + 3, 4, 3)
+        # two full blocks and three more samples
+        return symmetric_tensors(generator(33), 2 * BLOCK + 3, 4, 3)
 
     def test_reaction_terms_blocks_match_pointwise(self, stack):
         R1, R2 = batch_reaction_terms(stack)
         point = np.array([reaction_terms(PointCurvature(h)) for h in stack])
-        assert np.abs(R1 - point[:, 0]).max() <= 1e-12 * np.abs(point[:, 0]).max()
-        assert np.abs(R2 - point[:, 1]).max() <= 1e-12 * np.abs(point[:, 1]).max()
+        assert np.array_equal(R1, point[:, 0]) and np.array_equal(R2, point[:, 1])
 
-    @pytest.mark.parametrize("lo,hi", [(0, 1), (510, 515), (511, 1025), (1023, 1027)])
+    # one sample; three slices that start inside the first block, so their
+    # samples sit at other places in their blocks than in the whole stack;
+    # four across the seams at BLOCK and 2 * BLOCK, one of them a single sample
+    @pytest.mark.parametrize("lo,hi", [(0, 1), (510, 515), (511, 1025), (1023, 1027),
+                                       (BLOCK - 2, BLOCK + 3), (BLOCK, BLOCK + 1),
+                                       (BLOCK - 1, 2 * BLOCK + 1),
+                                       (2 * BLOCK - 1, 2 * BLOCK + 3)])
     def test_reaction_terms_independent_of_blocks(self, stack, lo, hi):
         R1, R2 = batch_reaction_terms(stack)
         r1, r2 = batch_reaction_terms(stack[lo:hi])

@@ -269,6 +269,20 @@ class TestCliReport:
         err = capsys.readouterr().err   # two records are too few to classify
         assert err.startswith("data error: need >= 10 records") and err.count("\n") == 1
 
+    def test_rescale_replaces_an_earlier_report(self, tmp_path):
+        out = tmp_path / "rerun"
+        sub = out / "rescale_type2"
+        for every in ("10", "1000"):
+            assert run_cli("simulate", "--spec", "sphere", "--grid", "16x32",
+                           "--mode", "ancient", "--t0", "-0.25", "--t-end", "-0.12",
+                           "--snapshot-every", every, "--out", str(out)) == 0
+            assert run_cli("report", "--in", str(out), "--rescale", "type2") == 0
+            (sub / "notes.txt").write_text("not written by report\n")
+        snaps = [f for f in os.listdir(sub) if f.startswith("snap_")]
+        rows = (sub / "summary.csv").read_text().splitlines()[1:]
+        assert len(snaps) == len(rows) == 2
+        assert (sub / "notes.txt").exists()
+
     def test_out_of_order_manifest_is_data_error(self, run_dir, capsys):
         path = run_dir / "manifest.json"
         manifest = json.loads(path.read_text())
