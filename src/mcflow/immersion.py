@@ -480,13 +480,22 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+# nodes formatted per write of save_snapshot
+_SNAPSHOT_BLOCK = 512
+
+
 def save_snapshot(im: DiscreteImmersion, path) -> None:
     """Write the line-oriented snapshot format.
 
     Header: ``MCFLOW v1 n=<n> k=<k> topology=<name> res=<r1>x<r2> t=<float>``;
     a one-direction grid writes ``res=<r1>x1``.  Nonzero wrap offsets append
     optional ``wrap<axis>=<c0>,<c1>,...`` tokens.  Then one node per line in
-    row-major order, n+k coordinates at 17 significant digits.
+    row-major order: each of the n+k coordinates formatted by ``%.17g``
+    (the same text as ``f"{x:.17g}"``), one space between coordinates and
+    ``"\\n"`` after every node, the last one included.
+
+    Nodes are formatted and written a block of rows at a time, one ``%``
+    per block, so the whole file is never held as one string.
     """
     res = im.grid.res
     r1 = res[0]
@@ -498,10 +507,12 @@ def save_snapshot(im: DiscreteImmersion, path) -> None:
             vec = ",".join(_fmt(c) for c in im.wrap_offsets[axis])
             header += f" wrap{axis}={vec}"
     flat = im.positions.reshape(-1, im.ambient_dim)
-    lines = [header]
-    lines.extend(" ".join(_fmt(c) for c in row) for row in flat)
+    row = " ".join(["%.17g"] * im.ambient_dim) + "\n"
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        for start in range(0, len(flat), _SNAPSHOT_BLOCK):
+            block = flat[start:start + _SNAPSHOT_BLOCK]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def load_snapshot(path) -> DiscreteImmersion:

@@ -39,7 +39,9 @@ def generator(seed: int, *subkeys: int) -> np.random.Generator:
 def symmetric_tensors(rng: np.random.Generator, count: int, n: int, k: int) -> np.ndarray:
     """i.i.d. standard normal entries, symmetrised in (i, j); shape (count, n, n, k)."""
     a = rng.standard_normal((count, n, n, k))
-    return (a + a.transpose(0, 2, 1, 3)) / 2.0
+    h = a + a.transpose(0, 2, 1, 3)
+    h /= 2.0
+    return h
 
 
 def pinched_cap(n: int, ratio_bound: float) -> float:
@@ -70,7 +72,12 @@ def pinched_tensors(rng: np.random.Generator, count: int, n: int, k: int,
             f"pinching |h|^2 <= {ratio_bound} |H|^2 is infeasible for n={n} "
             f"(requires ratio_bound > 1/n)"
         )
-    h0 = batch_traceless(symmetric_tensors(rng, count, n, k))
+    # h0 and then h are built in place; each step is the same elementwise
+    # arithmetic as batch_traceless and h0 * scale + eye * hvec / n, done on
+    # the diagonal only, where the identity is nonzero
+    d = np.arange(n)
+    h0 = symmetric_tensors(rng, count, n, k)
+    h0[:, d, d, :] -= batch_mean_vector(h0)[:, None, :] / n
     hmag = _magnitudes(rng, count)
     hdir = rng.standard_normal((count, k))
     hdir /= np.linalg.norm(hdir, axis=1, keepdims=True)
@@ -79,13 +86,14 @@ def pinched_tensors(rng: np.random.Generator, count: int, n: int, k: int,
     h0n[h0n == 0] = 1.0
     scale = np.sqrt(u * cap) * hmag / h0n
     hvec = hdir * hmag[:, None]
-    h = (h0 * scale[:, None, None, None]
-         + np.eye(n)[None, :, :, None] * hvec[:, None, None, :] / n)
+    h = h0
+    h *= scale[:, None, None, None]
+    h[:, d, d, :] += hvec[:, None, :] / n
     normh2 = np.einsum("bija,bija->b", h, h)
     hv = batch_mean_vector(h)
     normH2 = np.einsum("ba,ba->b", hv, hv)
     keep = normh2 <= ratio_bound * normH2 * (1.0 + 1e-12)
-    return h[keep]
+    return h if keep.all() else h[keep]
 
 
 def sphere_pinched_tensors(rng: np.random.Generator, count: int, n: int, k: int,

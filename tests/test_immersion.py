@@ -22,6 +22,7 @@ from mcflow import (
     seed_immersion,
 )
 from mcflow.immersion import (
+    _SNAPSHOT_BLOCK,
     covariant_gradient_fields,
     gauss_curvature_field,
     geometry_fields,
@@ -378,6 +379,70 @@ class TestSnapshots:
         assert back.wrap_offsets is not None
         assert np.array_equal(back.wrap_offsets[1], im.wrap_offsets[1])
         assert np.array_equal(back.positions, im.positions)
+
+    # values whose text is easy to get wrong: signed zero, the smallest
+    # subnormal, large powers of ten, cos(pi/2), and ones that need all
+    # 17 significant digits to round-trip
+    TRICKY = (-0.0, 5e-324, 1e22, 1e16, 6.123233995736766e-17, 0.1 + 0.2,
+              1.0 / 3.0, -math.pi, 1.0 + 2.0 ** -52, -2.0 ** -1022 * 3.0)
+
+    @classmethod
+    def tricky_positions(cls, shape, seed):
+        """Normal entries with every TRICKY value placed at each block seam
+        (the last row of one block of save_snapshot and the first of the
+        next) and in the first and last rows."""
+        flat = np.random.default_rng(seed).standard_normal(shape).reshape(-1, shape[-1])
+        rows = {0, len(flat) - 1}
+        for seam in range(_SNAPSHOT_BLOCK, len(flat), _SNAPSHOT_BLOCK):
+            rows |= {seam - 1, seam}
+        tricky = np.array(cls.TRICKY)
+        for i, row in enumerate(sorted(rows)):
+            flat[row] = np.roll(tricky, i)[: shape[-1]]
+        return flat.reshape(shape)
+
+    def assert_exact_bytes(self, im, path):
+        save_snapshot(im, path)
+        text = path.read_text()
+        assert text.endswith("\n") and not text.endswith("\n\n")
+        lines = text.split("\n")[1:-1]
+        rows = im.positions.reshape(-1, im.ambient_dim)
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            assert line == " ".join(f"{c:.17g}" for c in row)
+        back = load_snapshot(path)
+        assert back.positions.shape == im.positions.shape
+        assert np.array_equal(back.positions.view(np.int64), im.positions.view(np.int64))
+        assert back.t == im.t
+
+    def test_node_lines_are_exact_across_block_seams(self, tmp_path):
+        width = 8
+        res = ((2 * _SNAPSHOT_BLOCK + 3) // width + 1, width)   # > 2 blocks + 3 nodes
+        grid = ParamGrid("LatLongSphere", res)
+        im = DiscreteImmersion(grid=grid, n=2, k=3, t=0.1 + 0.2,
+                               positions=self.tricky_positions(res + (5,), 1))
+        self.assert_exact_bytes(im, tmp_path / "sphere.txt")
+        header = (tmp_path / "sphere.txt").read_text().split("\n")[0]
+        assert header.endswith(f"res={res[0]}x{res[1]} t=0.30000000000000004")
+
+    def test_node_lines_are_exact_on_a_circle(self, tmp_path):
+        grid = ParamGrid("Circle", (40,))
+        im = DiscreteImmersion(grid=grid, n=1, k=2, t=-1e16,
+                               positions=self.tricky_positions((40, 3), 2))
+        self.assert_exact_bytes(im, tmp_path / "circle.txt")
+
+    def test_node_lines_are_exact_with_wrap_offsets(self, tmp_path):
+        grid = ParamGrid("Torus2", (12, 10))
+        wraps = {0: np.array([0.0, 0.0, 0.0, 2.0 * math.pi]),
+                 1: np.array([6.123233995736766e-17, -0.0, 1e22, 0.1 + 0.2])}
+        im = DiscreteImmersion(grid=grid, n=2, k=2, t=5e-324, wrap_offsets=wraps,
+                               positions=self.tricky_positions((12, 10, 4), 3))
+        self.assert_exact_bytes(im, tmp_path / "torus.txt")
+        header = (tmp_path / "torus.txt").read_text().split("\n")[0]
+        assert header.endswith(" t=4.9406564584124654e-324 wrap0=0,0,0,6.2831853071795862"
+                               " wrap1=6.123233995736766e-17,-0,1e+22,0.30000000000000004")
+        back = load_snapshot(tmp_path / "torus.txt")
+        for axis, vec in wraps.items():
+            assert np.array_equal(back.wrap_offsets[axis].view(np.int64), vec.view(np.int64))
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -253,21 +253,52 @@ class TestCliReport:
             expect = (-float(tau)) ** -0.5
             assert abs(float(max_h) / expect - 1.0) <= 1e-2
 
-    def test_reused_out_reads_only_the_last_run(self, tmp_path, capsys):
+    def test_reused_out_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "reused"
+        argv = ("simulate", "--spec", "sphere", "--grid", "16x32", "--t-end", "0.05",
+                "--out", str(out))
+        assert run_cli(*argv, "--snapshot-every", "5") == 0
+        before = {f: (out / f).read_bytes() for f in os.listdir(out)}
+        capsys.readouterr()
+        assert run_cli(*argv, "--snapshot-every", "100") == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "--overwrite" in err
+        assert {f: (out / f).read_bytes() for f in os.listdir(out)} == before
+        # a directory holding a stray snapshot and no manifest is refused too
+        stray = tmp_path / "stray"
+        stray.mkdir()
+        (stray / "snap_000000.txt").write_text("")
+        assert run_cli("simulate", "--spec", "sphere", "--grid", "16x32",
+                       "--t-end", "0.05", "--out", str(stray)) == 64
+        capsys.readouterr()
+        assert run_cli("simulate", "--spec", "sphere", "--grid", "16x32",
+                       "--t-end", "0.05", "--out", str(stray / "snap_000000.txt")) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "not a directory" in err
+
+    def test_overwrite_replaces_only_the_listed_files(self, tmp_path, capsys):
         from mcflow.cli import _load_trajectory
         out = tmp_path / "reused"
-        for every in ("5", "100"):
-            assert run_cli("simulate", "--spec", "sphere", "--grid", "16x32",
-                           "--t-end", "0.05", "--snapshot-every", every,
-                           "--out", str(out)) == 0
-        # the first run's 11 snapshots stay on disk; the manifest lists 2
-        assert len([f for f in os.listdir(out) if f.startswith("snap_")]) == 11
+        argv = ("simulate", "--spec", "sphere", "--grid", "16x32", "--t-end", "0.05",
+                "--out", str(out))
+        assert run_cli(*argv, "--snapshot-every", "5") == 0
+        (out / "notes.txt").write_text("not written by simulate\n")
+        assert run_cli(*argv, "--snapshot-every", "100", "--overwrite") == 0
+        assert len([f for f in os.listdir(out) if f.startswith("snap_")]) == 2
+        assert (out / "notes.txt").read_text() == "not written by simulate\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(os.listdir(out)) == sorted(manifest["outputs"]
+                                                 + ["manifest.json", "notes.txt"])
         traj = _load_trajectory(str(out))
         assert len(traj.snapshots) == len(traj.diagnostics) == 2
         capsys.readouterr()
         assert run_cli("report", "--in", str(out), "--classify") == 65
         err = capsys.readouterr().err   # two records are too few to classify
         assert err.startswith("data error: need >= 10 records") and err.count("\n") == 1
+        cfg = tmp_path / "again.cfg"    # the config file can set it too
+        cfg.write_text("overwrite=true\n")
+        assert run_cli(*argv, "--config", str(cfg)) == 0
 
     def test_rescale_replaces_an_earlier_report(self, tmp_path):
         out = tmp_path / "rerun"
@@ -275,7 +306,8 @@ class TestCliReport:
         for every in ("10", "1000"):
             assert run_cli("simulate", "--spec", "sphere", "--grid", "16x32",
                            "--mode", "ancient", "--t0", "-0.25", "--t-end", "-0.12",
-                           "--snapshot-every", every, "--out", str(out)) == 0
+                           "--snapshot-every", every, "--out", str(out),
+                           "--overwrite") == 0
             assert run_cli("report", "--in", str(out), "--rescale", "type2") == 0
             (sub / "notes.txt").write_text("not written by report\n")
         snaps = [f for f in os.listdir(sub) if f.startswith("snap_")]
