@@ -6,8 +6,7 @@ Exit codes: 0 success, 1 property violations, 2 blow-up cap stop,
 ``simulate`` writes a JSON manifest (atomically, last) recording the command
 line, the resolved configuration, the package version, wall-clock duration
 and the list of output files; ``report`` reads the snapshots it lists.
-An ``--out`` that holds an earlier run is refused unless ``--overwrite``,
-which removes only the files that run's manifest lists, and the manifest.
+An ``--out`` that holds an earlier run's manifest or snapshots is refused.
 ``verify`` writes only its CSV report, whose seed column reproduces it.
 Every command runs in one process, in a fixed order, so re-running with the
 same inputs reproduces all numeric outputs byte-for-byte.  Options may also
@@ -149,7 +148,6 @@ def _add_simulate(sub):
     p.add_argument("--max-steps", dest="max_steps", type=int)
     p.add_argument("--blowup-cap", dest="blowup_cap", type=float)
     p.add_argument("--out", type=str)
-    p.add_argument("--overwrite", action="store_true", default=None)
     p.add_argument("--config", type=str)
 
 
@@ -157,30 +155,17 @@ def _is_snapshot(name: str) -> bool:
     return name.startswith("snap_") and name.endswith(".txt")
 
 
-def _earlier_run(out_dir: str, overwrite: bool) -> list:
-    """The files of an earlier run in ``out_dir`` that ``simulate`` removes
-    before writing: those its manifest lists, then the manifest.
-
-    A directory holding a manifest or a snapshot holds an earlier run; reusing
-    it is a usage error unless ``overwrite``.  Other files are never listed."""
+def _check_out(out_dir: str) -> None:
+    """Refuse an ``out_dir`` that is not a directory, or that holds a manifest
+    or a snapshot: runs never mix in one directory."""
     if not os.path.isdir(out_dir):
         if os.path.exists(out_dir):
             raise _UsageError(f"--out {out_dir} is not a directory")
-        return []
+        return
     names = os.listdir(out_dir)
-    if "manifest.json" not in names and not any(_is_snapshot(f) for f in names):
-        return []
-    if not overwrite:
+    if "manifest.json" in names or any(_is_snapshot(f) for f in names):
         raise _UsageError(f"--out {out_dir} holds an earlier run; "
-                          f"pass --overwrite to replace it")
-    if "manifest.json" not in names:
-        return []
-    try:
-        with open(os.path.join(out_dir, "manifest.json")) as fh:
-            listed = json.load(fh)["outputs"]
-        return [f for f in listed if f in names] + ["manifest.json"]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise _UsageError(f"cannot read the earlier manifest in {out_dir}: {exc}") from None
+                          f"remove it or choose another directory")
 
 
 def _build_seed(args):
@@ -226,7 +211,7 @@ def cmd_simulate(args) -> int:
         out_dir = _resolve(args, "out", None, str)
         if not out_dir:
             raise _UsageError("--out is required")
-        stale = _earlier_run(out_dir, _resolve(args, "overwrite", False, _switch))
+        _check_out(out_dir)
         mode = _MODES[_resolve(args, "mode", "forward", _choice(_MODES))]
         config = FlowConfig(
             t_end=t_end,
@@ -242,8 +227,6 @@ def cmd_simulate(args) -> int:
 
     started = time.time()
     os.makedirs(out_dir, exist_ok=True)
-    for name in stale:
-        os.remove(os.path.join(out_dir, name))
     try:
         traj = run(seed_im, config, mode=mode)
     except DegenerateGeometryError as exc:

@@ -263,7 +263,7 @@ class TestCliReport:
         assert run_cli(*argv, "--snapshot-every", "100") == 64
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and err.count("\n") == 1
-        assert "--overwrite" in err
+        assert "holds an earlier run" in err
         assert {f: (out / f).read_bytes() for f in os.listdir(out)} == before
         # a directory holding a stray snapshot and no manifest is refused too
         stray = tmp_path / "stray"
@@ -277,28 +277,21 @@ class TestCliReport:
         err = capsys.readouterr().err
         assert err.startswith("usage error:") and "not a directory" in err
 
-    def test_overwrite_replaces_only_the_listed_files(self, tmp_path, capsys):
+    def test_report_reads_only_the_listed_snapshots(self, tmp_path, capsys):
         from mcflow.cli import _load_trajectory
-        out = tmp_path / "reused"
-        argv = ("simulate", "--spec", "sphere", "--grid", "16x32", "--t-end", "0.05",
-                "--out", str(out))
-        assert run_cli(*argv, "--snapshot-every", "5") == 0
-        (out / "notes.txt").write_text("not written by simulate\n")
-        assert run_cli(*argv, "--snapshot-every", "100", "--overwrite") == 0
-        assert len([f for f in os.listdir(out) if f.startswith("snap_")]) == 2
-        assert (out / "notes.txt").read_text() == "not written by simulate\n"
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert sorted(os.listdir(out)) == sorted(manifest["outputs"]
-                                                 + ["manifest.json", "notes.txt"])
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--spec", "sphere", "--grid", "16x32", "--t-end", "0.05",
+                       "--snapshot-every", "100", "--out", str(out)) == 0
+        # a snapshot the manifest does not list is ignored
+        stray = (out / "snap_000000.txt").read_text()
+        (out / "snap_999999.txt").write_text(stray)
         traj = _load_trajectory(str(out))
         assert len(traj.snapshots) == len(traj.diagnostics) == 2
         capsys.readouterr()
         assert run_cli("report", "--in", str(out), "--classify") == 65
         err = capsys.readouterr().err   # two records are too few to classify
         assert err.startswith("data error: need >= 10 records") and err.count("\n") == 1
-        cfg = tmp_path / "again.cfg"    # the config file can set it too
-        cfg.write_text("overwrite=true\n")
-        assert run_cli(*argv, "--config", str(cfg)) == 0
+        assert (out / "snap_999999.txt").read_text() == stray
 
     def test_rescale_replaces_an_earlier_report(self, tmp_path):
         out = tmp_path / "rerun"
@@ -306,10 +299,13 @@ class TestCliReport:
         for every in ("10", "1000"):
             assert run_cli("simulate", "--spec", "sphere", "--grid", "16x32",
                            "--mode", "ancient", "--t0", "-0.25", "--t-end", "-0.12",
-                           "--snapshot-every", every, "--out", str(out),
-                           "--overwrite") == 0
+                           "--snapshot-every", every, "--out", str(out)) == 0
             assert run_cli("report", "--in", str(out), "--rescale", "type2") == 0
             (sub / "notes.txt").write_text("not written by report\n")
+            # remove the run, so that the next simulate may reuse the directory
+            manifest = json.loads((out / "manifest.json").read_text())
+            for name in manifest["outputs"] + ["manifest.json"]:
+                (out / name).unlink()
         snaps = [f for f in os.listdir(sub) if f.startswith("snap_")]
         rows = (sub / "summary.csv").read_text().splitlines()[1:]
         assert len(snaps) == len(rows) == 2
