@@ -9,6 +9,10 @@ class DegenerateGeometryError(RuntimeError):
     """Raised when a discrete immersion has a singular or near-singular metric."""
 
 
+class NonFiniteError(DegenerateGeometryError, ValueError):
+    """Positions hold a NaN or an infinity: bad input, or a flow state gone bad."""
+
+
 class CapExtinctError(ValueError):
     """Raised when a shrinking spherical cap has already vanished at the requested time."""
 

@@ -5,14 +5,16 @@ by :mod:`mcflow.immersion`; explicit RK4 (default) or forward Euler.  A run
 extracts each state once, with ``scalar_fields``: that validates it, bounds
 the step and the blow-up cap, gives the first RK stage and measures recorded
 states.  Later stages call ``mean_curvature_vector``; no flow code builds the
-full ``GeometryFields``.  On lat-long grids the velocity field passes through
-a zonal spectral filter that removes Fourier modes the meridional resolution
-cannot represent anyway (the cutoff at latitude row theta is K(theta) =
-clip(round(N_lat sin theta), 2, N_lon / 2)).  Without the filter the
-pole-clustered zonal spacing forces an explicit time step smaller by a factor
-of sin(theta_min)^2, for no gain in accuracy; with it, modes above the cutoff
-receive zero velocity and therefore never move, while every resolved mode
-satisfies the step bound below.
+full ``GeometryFields``.  ``step`` holds its states and stage velocities
+components first, (n+k, *res), and the filter below transforms along their
+contiguous longitude axis.  On lat-long grids the velocity field passes
+through a zonal spectral filter that removes Fourier modes the meridional
+resolution cannot represent anyway (the cutoff at latitude row theta is
+K(theta) = clip(round(N_lat sin theta), 2, N_lon / 2)).  Without the filter
+the pole-clustered zonal spacing forces an explicit time step smaller by a
+factor of sin(theta_min)^2, for no gain in accuracy; with it, modes above the
+cutoff receive zero velocity and therefore never move, while every resolved
+mode satisfies the step bound below.
 
 Step size.  With s_eff the per-node, per-direction effective ambient spacing
 (the distance to the next node, read from the extraction's ghost layers;
@@ -100,6 +102,8 @@ class FlowConfig:
             raise ValueError("integrator must be RK4 or Euler")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
+        if not self.stop_on_blowup > 0:
+            raise ValueError(f"the blow-up cap must be positive; got {self.stop_on_blowup}")
         if self.snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
 
@@ -182,20 +186,26 @@ def _zonal_cutoffs(grid: ParamGrid) -> np.ndarray:
     return np.clip(k, 2, nlon // 2)
 
 
+def _zonal(grid: ParamGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The polar filter's keep mask over (row, zonal mode) and the squared
+    widening (N_lon / (2 K(theta)))^2 of each row's zonal spacing, made on the
+    grid's first use and kept in its cache."""
+    if "zonal" not in grid.cache:
+        cut = _zonal_cutoffs(grid)
+        keep = np.arange(grid.res[1] // 2 + 1)[None, :] <= cut[:, None]
+        grid.cache["zonal"] = keep, ((grid.res[1] / (2.0 * cut)) ** 2)[:, None]
+    return grid.cache["zonal"]
+
+
 def _polar_filter(grid: ParamGrid, vel: np.ndarray) -> np.ndarray:
-    """Zero zonal Fourier modes above the per-row cutoff (LatLongSphere only)."""
+    """Zero zonal Fourier modes above the per-row cutoff (LatLongSphere only),
+    transforming along the longitude axis of the components-first form of the
+    (*res, n+k) ``vel``; the result is a view of that form."""
     if grid.topology != "LatLongSphere":
         return vel
-    cut = _zonal_cutoffs(grid)
-    spec = np.fft.rfft(vel, axis=1)
-    modes = np.arange(spec.shape[1])
-    keep = modes[None, :] <= cut[:, None]
-    spec *= keep[:, :, None]
-    return np.fft.irfft(spec, n=vel.shape[1], axis=1)
-
-
-def _velocity(im: DiscreteImmersion) -> np.ndarray:
-    return _polar_filter(im.grid, mean_curvature_vector(im))
+    spec = np.fft.rfft(np.moveaxis(vel, -1, 0), axis=-1)
+    spec *= _zonal(grid)[0]
+    return np.moveaxis(np.fft.irfft(spec, n=grid.res[1], axis=-1), 0, -1)
 
 
 def _effective_spacing_sq(im: DiscreteImmersion, sf: ScalarFields) -> list[np.ndarray]:
@@ -203,12 +213,15 @@ def _effective_spacing_sq(im: DiscreteImmersion, sf: ScalarFields) -> list[np.nd
     neighbours come from the extraction's ghost layers: the node after the
     last one along an axis is its first ghost."""
     grid, out = im.grid, []
+    pos = np.moveaxis(im.positions, -1, 0)
     for axis, pad in enumerate(sf.pads):
-        nbr = pad[(slice(None),) * axis + (slice(3, -1),)]
-        ds2 = np.einsum("...x,...x->...", nbr - im.positions, nbr - im.positions)
+        nbr = pad[(Ellipsis, slice(3, -1)) + (slice(None),) * (grid.ndim - 1 - axis)]
+        # einsum's summation order depends on the layout: it reduces over a
+        # contiguous last axis here, as it always has
+        d = np.ascontiguousarray(np.moveaxis(nbr - pos, 0, -1))
+        ds2 = np.einsum("...x,...x->...", d, d)
         if axis == 1 and grid.topology == "LatLongSphere":
-            widen = (grid.res[1] / (2.0 * _zonal_cutoffs(grid))) ** 2
-            ds2 = ds2 * widen[:, None]
+            ds2 = ds2 * _zonal(grid)[1]
         out.append(ds2)
     return out
 
@@ -233,18 +246,25 @@ def step(im: DiscreteImmersion, dt: float, integrator: str = "RK4",
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    pos = im.positions
-    k1 = first_stage_velocity if first_stage_velocity is not None else _velocity(im)
+    # states and velocities are held components first, (n+k, *res); each
+    # stage's positions are a view of its state
+    def velocity(state):
+        stage = im.with_positions(np.moveaxis(state, 0, -1), im.t)
+        return np.moveaxis(_polar_filter(im.grid, mean_curvature_vector(stage)), -1, 0)
+
+    pos = np.ascontiguousarray(np.moveaxis(im.positions, -1, 0))
+    k1 = (velocity(pos) if first_stage_velocity is None
+          else np.moveaxis(first_stage_velocity, -1, 0))
     if integrator == "Euler":
         new = pos + dt * k1
     elif integrator == "RK4":
-        k2 = _velocity(im.with_positions(pos + 0.5 * dt * k1, im.t))
-        k3 = _velocity(im.with_positions(pos + 0.5 * dt * k2, im.t))
-        k4 = _velocity(im.with_positions(pos + dt * k3, im.t))
+        k2 = velocity(pos + 0.5 * dt * k1)
+        k3 = velocity(pos + 0.5 * dt * k2)
+        k4 = velocity(pos + dt * k3)
         new = pos + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     else:
         raise ValueError("integrator must be RK4 or Euler")
-    return im.with_positions(new, im.t + dt)
+    return im.with_positions(np.moveaxis(new, 0, -1), im.t + dt)
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +327,14 @@ def diagnostics(im: DiscreteImmersion, mode: str = "Forward",
 
 def _estimate_singular_time(times: np.ndarray, maxH2: np.ndarray) -> Optional[float]:
     """Root of a linear fit to 1 / max|H|^2 over the last quarter of records."""
-    if len(times) < 3 or np.any(maxH2 <= 0):
+    if len(times) < 3 or not np.all(maxH2 > 0):
         return None
     m = max(3, len(times) // 4)
     x, y = times[-m:], 1.0 / maxH2[-m:]
-    slope, intercept = np.polyfit(x, y, 1)
+    try:
+        slope, intercept = np.polyfit(x, y, 1)
+    except np.linalg.LinAlgError:   # e.g. times 1e-302 apart, whose squares underflow
+        return None
     if slope >= 0:
         return None
     return float(-intercept / slope)
@@ -323,8 +346,9 @@ def run(seed: DiscreteImmersion, config: FlowConfig, mode: str = "Forward") -> T
     ``snapshot_every`` steps and at both endpoints, each record measured from
     the extraction that validated its state.
 
-    Mid-run degeneracy aborts with the last good snapshot; a seed that fails
-    extraction raises.
+    Mid-run degeneracy (a metric past the condition cap, a stage or state
+    that is not finite, or a step bound too small to move t) aborts with the
+    last good snapshot; a seed that fails extraction raises.
     """
     im = seed.copy()
     sf = scalar_fields(im)
@@ -344,6 +368,8 @@ def run(seed: DiscreteImmersion, config: FlowConfig, mode: str = "Forward") -> T
             break
         try:
             dt = min(_dt_bound(im, config.cfl, sf), t_end - im.t)
+            if not im.t + dt > im.t:
+                raise DegenerateGeometryError(f"a step of {dt:.3e} leaves t = {im.t!r} unchanged")
             nxt = step(im, dt, config.integrator,
                        first_stage_velocity=_polar_filter(im.grid, sf.Hvec))
             sf = scalar_fields(nxt)

@@ -18,7 +18,10 @@ stencil:
                   gathers take an optional sign array for this.
 
 Every gather goes through :func:`pad2`, which adds two ghost layers along one
-axis; the stencils, and the flow's step bound, slice the padded array.
+axis; the stencils, and the flow's step bound, slice the padded array.  Fields
+hold their grid axes last, (..., *res), vector components first: a pole ghost
+row is two slice copies, a wrap offset broadcasts over the component axis, and
+each stencil result is contiguous.
 
 With the half-step latitude offset the node set is a uniform grid on the
 double cover, so sums of smooth fields against sqrt(det g) are trapezoidal
@@ -27,8 +30,8 @@ rules on a torus: integration is spectrally accurate.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,12 +42,14 @@ TOPOLOGIES = ("Circle", "Torus2", "LatLongSphere")
 MIN_RESOLUTION = 8
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ParamGrid:
-    """Parameter grid: topology tag plus per-direction point counts."""
+    """Parameter grid: topology tag plus per-direction point counts.  ``cache``
+    keeps constants derived from the grid alone; it takes no part in equality."""
 
     topology: str
     res: tuple[int, ...]
+    cache: dict = dataclasses.field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.topology not in TOPOLOGIES:
@@ -83,62 +88,74 @@ class ParamGrid:
         return (np.arange(self.res[0]) + 0.5) * self.spacing[0]
 
 
-def _reflect_row(row: np.ndarray, nlon: int, theta_sign) -> np.ndarray:
-    out = np.roll(row, -(nlon // 2), axis=0)
-    if theta_sign is not None:
-        out = out * theta_sign
-    return out
-
-
 def pad2(grid: ParamGrid, field: np.ndarray, axis: int, theta_sign=None,
          wrap_offsets=None) -> np.ndarray:
-    """Field extended by two ghost layers on both sides of one axis.
+    """A (..., *res) field extended by two ghost layers on both sides of grid
+    axis ``axis``.
 
     All stencils slice this array, which costs a single copy of the field per
-    (field, axis) pair instead of one per stencil offset.  ``theta_sign``
-    flips tensor components across the poles; ``wrap_offsets`` (the
-    immersion's, given only when padding raw positions) shifts the ghosts of
-    a periodic axis by the offset gained per period.
+    (field, axis) pair instead of one per stencil offset.  ``theta_sign``,
+    shaped like the leading axes, flips tensor components across the poles;
+    ``wrap_offsets`` (the immersion's, given only when padding raw positions)
+    shifts the ghosts of a periodic axis by the offset gained per period.
     """
-    work = field if axis == 0 else np.swapaxes(field, 0, axis)
-    npts = work.shape[0]
-    out = np.empty((npts + 4,) + work.shape[1:], dtype=field.dtype)
-    out[2:-2] = work
+    ax = field.ndim - grid.ndim + axis
+    out = np.empty(field.shape[:ax] + (field.shape[ax] + 4,) + field.shape[ax + 1:], field.dtype)
+    # views with the padded axis last
+    o, f = np.moveaxis(out, ax, -1), np.moveaxis(field, ax, -1)
+    o[..., 2:-2] = f
     if grid.topology == "LatLongSphere" and axis == 0:
-        nlon = grid.res[1]
-        out[1] = _reflect_row(work[0], nlon, theta_sign)
-        out[0] = _reflect_row(work[1], nlon, theta_sign)
-        out[-2] = _reflect_row(work[-1], nlon, theta_sign)
-        out[-1] = _reflect_row(work[-2], nlon, theta_sign)
+        # a ghost row past a pole is the row on its near side, turned by half
+        # a longitude period
+        half = grid.res[1] // 2
+        for ghost, row in ((1, 0), (0, 1), (-2, -1), (-1, -2)):
+            o[..., :half, ghost] = f[..., half:, row]
+            o[..., half:, ghost] = f[..., :half, row]
+        if theta_sign is not None:
+            sign = np.asarray(theta_sign)[..., None, None]
+            o[..., :2] *= sign
+            o[..., -2:] *= sign
     else:
+        o[..., :2] = f[..., -2:]
+        o[..., -2:] = f[..., :2]
         offset = wrap_offsets.get(axis) if wrap_offsets else None
-        out[:2] = work[-2:]
-        out[-2:] = work[:2]
         if offset is not None:
-            out[:2] -= offset
-            out[-2:] += offset
-    return out if axis == 0 else np.swapaxes(out, 0, axis)
+            offset = offset.reshape((-1,) + (1,) * grid.ndim)
+            o[..., :2] -= offset
+            o[..., -2:] += offset
+    return out
 
 
 def _offsets(grid: ParamGrid, field: np.ndarray, axis: int, theta_sign,
              padded: np.ndarray | None) -> list[np.ndarray]:
-    """The field at stencil offsets -2..2 along an axis, as slices of its pad."""
+    """The field at stencil offsets -2..2 along a grid axis, as slices of its pad."""
     p = padded if padded is not None else pad2(grid, field, axis, theta_sign)
-    lead = (slice(None),) * axis
-    return [p[lead + (slice(lo, lo - 4 or None),)] for lo in range(5)]
+    tail = (slice(None),) * (grid.ndim - 1 - axis)
+    return [p[(Ellipsis, slice(lo, lo - 4 or None)) + tail] for lo in range(5)]
 
 
 def stencil_d1(grid: ParamGrid, field: np.ndarray, axis: int, *, theta_sign=None,
                padded: np.ndarray | None = None) -> np.ndarray:
-    """Fourth-order central first derivative along a parameter axis; slices
-    ``padded`` when the caller already padded the field."""
+    """Fourth-order central first derivative along a grid axis of a (..., *res)
+    field, (m2 - 8 m1 + 8 p1 - p2) / 12h in that order; slices ``padded`` when
+    the caller already padded the field."""
     m2, m1, _, p1, p2 = _offsets(grid, field, axis, theta_sign, padded)
-    return (m2 - 8.0 * m1 + 8.0 * p1 - p2) / (12.0 * grid.spacing[axis])
+    out = m2 - 8.0 * m1
+    out += 8.0 * p1
+    out -= p2
+    out /= 12.0 * grid.spacing[axis]
+    return out
 
 
 def stencil_d2(grid: ParamGrid, field: np.ndarray, axis: int, *, theta_sign=None,
                padded: np.ndarray | None = None) -> np.ndarray:
-    """Fourth-order pure second derivative along a parameter axis; slices
+    """Fourth-order pure second derivative along a grid axis of a (..., *res)
+    field, (-m2 + 16 m1 - 30 c + 16 p1 - p2) / 12h^2 in that order; slices
     ``padded`` when the caller already padded the field."""
     m2, m1, c, p1, p2 = _offsets(grid, field, axis, theta_sign, padded)
-    return (-m2 + 16.0 * m1 - 30.0 * c + 16.0 * p1 - p2) / (12.0 * grid.spacing[axis] ** 2)
+    out = 16.0 * m1 - m2
+    out -= 30.0 * c
+    out += 16.0 * p1
+    out -= p2
+    out /= 12.0 * grid.spacing[axis] ** 2
+    return out

@@ -1,15 +1,19 @@
 """Discrete immersions on structured grids and finite-difference geometry.
 
-An immersion F: M^n -> R^(n+k) is stored as positions on a ParamGrid.  All
-extraction starts from one core: ghost-padded positions, fourth-order central
-differences for the Jacobian and d2F/du_i du_j, and the induced metric
-g = jac^T jac in closed form with its condition check.  On it sit
-``mean_curvature_vector`` (the velocity alone), ``scalar_fields`` (H, |H|^2,
-|h|^2, det g: the flow's per-step kernel, which projects each second
-derivative without forming P = I - jac g^(-1) jac^T) and ``geometry_fields``
-(for frames, covariant gradients and the pointwise API: adds P and the
-ambient-valued second fundamental form hvec_ij = P d2F/du_i du_j; normal
-projection removes all tangential terms, so h needs no Christoffel term).
+An immersion F: M^n -> R^(n+k) is stored as positions on a ParamGrid.  The
+public arrays are (*res, n+k), but extraction works components first,
+(n+k, *res), the layout of :mod:`mcflow.grid`: the positions of flow states,
+``ScalarFields.Hvec`` and ``mean_curvature_vector`` are views of such arrays,
+not C-ordered copies.  All extraction starts from one core: ghost-padded
+positions, fourth-order central differences for the Jacobian and
+d2F/du_i du_j, and the induced metric g = jac^T jac in closed form with its
+condition check.  On it sit ``mean_curvature_vector`` (the velocity alone),
+``scalar_fields`` (H, |H|^2, |h|^2, det g: the flow's per-step kernel, which
+projects each second derivative without forming P = I - jac g^(-1) jac^T) and
+``geometry_fields`` (for frames, covariant gradients and the pointwise API:
+adds P and the ambient-valued second fundamental form
+hvec_ij = P d2F/du_i du_j; normal projection removes all tangential terms, so
+h needs no Christoffel term).
 
 Covariant gradients are assembled gauge-free: h is differentiated as an
 ambient-vector field and projected, so no smooth normal frame is needed, and
@@ -29,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .curvature import PointCurvature
-from .errors import DegenerateGeometryError
+from .errors import DegenerateGeometryError, NonFiniteError
 from .grid import ParamGrid, pad2, stencil_d1, stencil_d2
 
 __all__ = [
@@ -81,7 +85,7 @@ class DiscreteImmersion:
         if pos.shape != expected:
             raise ValueError(f"positions shape {pos.shape} != grid shape {expected}")
         if not np.all(np.isfinite(pos)):
-            raise ValueError("positions contain non-finite entries")
+            raise NonFiniteError("positions contain non-finite entries")
         if self.grid.ndim != self.n:
             raise ValueError(f"grid dimension {self.grid.ndim} != n = {self.n}")
         if self.wrap_offsets:
@@ -163,10 +167,6 @@ class _Extraction:
     d2: list               # d2[a][b] = d2F/du_a du_b
 
 
-def _components_first(v: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(np.moveaxis(v, -1, 0))
-
-
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Per-node dot product of two components-first vector fields."""
     return np.einsum("x...,x...->...", u, v)
@@ -199,32 +199,35 @@ def _metric(cols: list):
 def _extract(im: DiscreteImmersion) -> _Extraction:
     """The one extraction core: pads, Jacobian, metric with its condition
     check, and the second derivatives of the positions."""
-    grid, pos, nd = im.grid, im.positions, im.n
+    grid, nd = im.grid, im.n
+    pos = np.moveaxis(im.positions, -1, 0)      # the pads copy it components first
     pads = tuple(pad2(grid, pos, a, wrap_offsets=im.wrap_offsets) for a in range(nd))
-    jac = [stencil_d1(grid, pos, a, padded=pads[a]) for a in range(nd)]
-    cols = [_components_first(c) for c in jac]
+    cols = [stencil_d1(grid, pos, a, padded=pads[a]) for a in range(nd)]
     g, ginv, detg, cond = _metric(cols)
     worst = float(np.max(cond))
     if not np.isfinite(worst) or worst > CONDITION_CAP:
         raise DegenerateGeometryError(
             f"metric condition number {worst:.3e} exceeds {CONDITION_CAP:.0e}"
         )
-    d00 = _components_first(stencil_d2(grid, pos, 0, padded=pads[0]))
+    d00 = stencil_d2(grid, pos, 0, padded=pads[0])
     if nd == 1:
         return _Extraction(pads, cols, g, ginv, detg, [[d00]])
     # dF/du_1 has no wrap offset and no pole sign flip, so it pads like any
     # derived field
-    d01 = _components_first(stencil_d1(grid, jac[1], 0))
-    d11 = _components_first(stencil_d2(grid, pos, 1, padded=pads[1]))
+    d01 = stencil_d1(grid, cols[1], 0)
+    d11 = stencil_d2(grid, pos, 1, padded=pads[1])
     return _Extraction(pads, cols, g, ginv, detg, [[d00, d01], [d01, d11]])
 
 
 def _normal_part(ext: _Extraction, v: np.ndarray) -> np.ndarray:
-    """v - jac g^(-1) jac^T v, without forming the projector."""
+    """v - jac g^(-1) jac^T v as a new array, without forming the projector."""
     w = [_dot(col, v) for col in ext.cols]
+    out = tmp = None
     for col, row in zip(ext.cols, ext.ginv):
-        v = v - col * sum(gab * wb for gab, wb in zip(row, w))
-    return v
+        # sum() starts from the int 0, which turns a -0.0 coefficient into +0.0
+        tmp = np.multiply(col, sum(gab * wb for gab, wb in zip(row, w)), out=tmp)
+        out = np.subtract(v if out is None else out, tmp, out=out)
+    return out
 
 
 def _isqrt_metric(g: np.ndarray, detg: np.ndarray, n: int) -> np.ndarray:
@@ -250,9 +253,17 @@ def _scalar_fields(ext: _Extraction) -> ScalarFields:
         h00, h01, h11 = (_normal_part(ext, ext.d2[a][b]) for a, b in ((0, 0), (0, 1), (1, 1)))
         (A, B), (_, C) = ext.ginv
         # raise the first index, U^a_j = g^{ai} h_ij: its trace is H and
-        # U^a_j . U^j_a summed over (a, j) is |h|^2
-        u00, u01 = A * h00 + B * h01, A * h01 + B * h11
-        u10, u11 = B * h00 + C * h01, B * h01 + C * h11
+        # U^a_j . U^j_a summed over (a, j) is |h|^2.  Each U^a_j is
+        # g^{a0} h_0j + g^{a1} h_1j in that order; U^1_0 and U^0_1 are built
+        # in the buffers of h00 and h01, once nothing else reads them.
+        u00 = A * h00
+        u00 += B * h01
+        u11 = B * h01
+        u11 += C * h11
+        u10 = np.multiply(B, h00, out=h00)
+        u10 += C * h01
+        u01 = np.multiply(A, h01, out=h01)
+        u01 += B * h11
         Hvec = u00 + u11
         normh2 = _dot(u00, u00) + 2.0 * _dot(u01, u10) + _dot(u11, u11)
     return ScalarFields(pads=ext.pads, detg=ext.detg, Hvec=np.moveaxis(Hvec, 0, -1),
@@ -391,9 +402,6 @@ def second_fundamental_form(im: DiscreteImmersion, node) -> PointGeometry:
                          h_coord=h_coord, pc=PointCurvature(h_frame))
 
 
-_THETA_SIGNS = np.array([-1.0, 1.0])
-
-
 def covariant_gradient_fields(im: DiscreteImmersion,
                               gf: GeometryFields | None = None):
     """(|grad h|^2, |grad H|^2) at every node.
@@ -411,32 +419,35 @@ def covariant_gradient_fields(im: DiscreteImmersion,
     grid, nd = im.grid, im.n
 
     sign_g = sign_h = None
-    if grid.topology == "LatLongSphere":
-        sign_g = _THETA_SIGNS[:, None] * _THETA_SIGNS[None, :]
+    if grid.topology == "LatLongSphere":     # g_ij and h_ij flip once per theta index
+        sign_g = np.array([[1.0, -1.0], [-1.0, 1.0]])
         sign_h = sign_g[:, :, None]
 
-    dg = np.stack(
-        [stencil_d1(grid, gf.g, a, theta_sign=sign_g) for a in range(nd)],
-        axis=-3,
-    )
+    nodes = tuple(range(nd))
+    last = tuple(range(-nd, 0))
+
+    def grad(field, sign=None):
+        # d/du_a of a (*res, ...) field for every a, as a C-ordered
+        # (*res, nd, ...) array, the layout the einsums below have always
+        # summed in; the stencils see the field with its node axes last
+        lead = np.moveaxis(field, nodes, last)
+        out = np.empty(field.shape[:nd] + (nd,) + field.shape[nd:])
+        return np.stack([np.moveaxis(stencil_d1(grid, lead, a, theta_sign=sign), last, nodes)
+                         for a in range(nd)], axis=nd, out=out)
+
+    dg = grad(gf.g, sign_g)
     # Gamma^l_{di} = 1/2 g^{lm} (d_d g_{mi} + d_i g_{md} - d_m g_{di})
     comb = dg + np.swapaxes(dg, -3, -1) - np.moveaxis(dg, -2, -3)
     gamma = 0.5 * np.einsum("...lm,...dmi->...dli", gf.ginv, comb)
 
-    dh = np.stack(
-        [stencil_d1(grid, gf.hvec, a, theta_sign=sign_h) for a in range(nd)],
-        axis=-4,
-    )
+    dh = grad(gf.hvec, sign_h)
     nab_h = (np.einsum("...xy,...dijy->...dijx", gf.proj, dh)
              - np.einsum("...dli,...ljx->...dijx", gamma, gf.hvec)
              - np.einsum("...dlj,...ilx->...dijx", gamma, gf.hvec))
     gradh2 = np.einsum("...da,...ib,...jc,...dijx,...abcx->...",
                        gf.ginv, gf.ginv, gf.ginv, nab_h, nab_h)
 
-    dH = np.stack(
-        [stencil_d1(grid, gf.Hvec, a) for a in range(nd)],
-        axis=-2,
-    )
+    dH = grad(gf.Hvec)
     nab_H = np.einsum("...xy,...dy->...dx", gf.proj, dH)
     gradH2 = np.einsum("...da,...dx,...ax->...", gf.ginv, nab_H, nab_H)
     return gradh2, gradH2

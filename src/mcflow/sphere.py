@@ -60,8 +60,9 @@ class SphereAmbient:
     R_amb: float
 
     def __post_init__(self):
-        if not self.R_amb > 0:
-            raise ValueError("ambient radius must be positive")
+        # beyond these bounds K = 1/R_amb^2 overflows or underflows
+        if not 1e-150 <= self.R_amb <= 1e150:
+            raise ValueError(f"ambient radius must lie in [1e-150, 1e150]; got {self.R_amb}")
 
     @property
     def K(self) -> float:

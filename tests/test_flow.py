@@ -33,6 +33,7 @@ from mcflow.flow import (
     write_diagnostics_csv,
     _effective_spacing_sq,
     _polar_filter,
+    _zonal,
     _zonal_cutoffs,
 )
 from mcflow.immersion import geometry_fields, scalar_fields
@@ -172,6 +173,16 @@ class TestPolarFilter:
         out = _polar_filter(grid, vel)
         assert np.abs(out - vel).max() <= 1e-13
 
+    def test_zonal_constants_are_made_once_per_grid(self):
+        grid = ParamGrid("LatLongSphere", (16, 32))
+        assert grid.cache == {}
+        keep, widen = _zonal(grid)
+        assert _zonal(grid)[0] is keep and _zonal(grid)[1] is widen
+        assert keep.shape == (16, 17) and widen.shape == (16, 1)
+        # the cache takes no part in equality or hashing
+        fresh = ParamGrid("LatLongSphere", (16, 32))
+        assert grid == fresh and hash(grid) == hash(fresh) and fresh.cache == {}
+
     def test_cutoffs_follow_latitude(self):
         grid = ParamGrid("LatLongSphere", (64, 128))
         cut = _zonal_cutoffs(grid)
@@ -243,6 +254,43 @@ class TestRun:
         assert len(traj.snapshots) == len(traj.diagnostics) == 6
         # every recorded slice has usable diagnostics
         assert all(np.isfinite(r.area) for r in traj.diagnostics)
+
+    def test_non_finite_stage_keeps_last_good_snapshot(self, monkeypatch):
+        import mcflow.flow as flow_mod
+        real = flow_mod.mean_curvature_vector
+        calls = {"n": 0}
+
+        def blowing(im):
+            # three velocity calls per RK4 step: NaN for step 8's third stage,
+            # so its fourth stage state is not finite
+            calls["n"] += 1
+            out = real(im)
+            return np.full_like(out, np.nan) if calls["n"] == 3 * 7 + 2 else out
+
+        monkeypatch.setattr(flow_mod, "mean_curvature_vector", blowing)
+        traj = run(sphere_seed((16, 32)), FlowConfig(t_end=0.2, snapshot_every=5))
+        assert traj.stop_reason == "degenerate"
+        assert [len(traj.snapshots), len(traj.diagnostics)] == [2, 2]   # steps 0 and 5
+
+    def test_step_that_leaves_t_unchanged_is_degenerate(self):
+        config = FlowConfig(t_end=-0.9, cfl=1e-300, max_steps=50)
+        traj = run(sphere_seed((16, 32), t=-1.0), config)
+        assert traj.stop_reason == "degenerate"
+        assert len(traj.snapshots) == 1
+
+    @pytest.mark.parametrize("cap", [math.nan, -1.0, 0.0])
+    def test_blowup_cap_must_be_positive(self, cap):
+        with pytest.raises(ValueError, match="blow-up cap"):
+            FlowConfig(t_end=1.0, stop_on_blowup=cap)
+        assert FlowConfig(t_end=1.0, stop_on_blowup=math.inf).stop_on_blowup == math.inf
+
+    def test_singular_time_needs_a_fit(self):
+        from mcflow.flow import _estimate_singular_time
+        h2 = np.array([1.0, 1.5, 2.0])
+        with np.errstate(all="ignore"):     # squares of times 1e-302 apart underflow
+            assert _estimate_singular_time(np.array([0.0, 7e-302, 8e-302]), h2) is None
+        assert _estimate_singular_time(np.array([0.0, 0.1, 0.2]), h2 * np.nan) is None
+        assert _estimate_singular_time(np.array([0.0, 0.1, 0.2]), h2) is not None
 
     def test_forward_singular_time_estimate(self):
         traj = run(sphere_seed((32, 64)), FlowConfig(t_end=0.15, snapshot_every=20))

@@ -75,6 +75,16 @@ class TestJacobianMetric:
             errs.append(np.abs(gf.g - exact).max())
         assert errs[0] / errs[1] >= 12.0, f"metric errors {errs}"
 
+    def test_non_finite_positions_are_bad_input_and_degenerate(self):
+        from mcflow.errors import NonFiniteError
+        im = circle(res=16)
+        pos = im.positions.copy()
+        pos[3, 0] = np.nan
+        with pytest.raises(NonFiniteError) as info:
+            im.with_positions(pos, 0.0)
+        assert isinstance(info.value, ValueError)
+        assert isinstance(info.value, DegenerateGeometryError)
+
     def test_degenerate_metric_aborts(self):
         grid = ParamGrid("Torus2", (16, 16))
         pos = np.zeros((16, 16, 3))

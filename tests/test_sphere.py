@@ -38,6 +38,12 @@ class TestSphereAmbient:
         with pytest.raises(ValueError):
             SphereAmbient(0.0)
 
+    @pytest.mark.parametrize("radius", [float("nan"), 1e300, 1e-300])
+    def test_rejects_radius_whose_curvature_is_not_a_float(self, radius):
+        # K = 1/R^2 would overflow (1e-300) or underflow to 0 (1e300)
+        with pytest.raises(ValueError):
+            SphereAmbient(radius)
+
 
 class TestAuxF:
     def test_umbilic_gives_zero(self):

@@ -94,6 +94,45 @@ class TestCliSimulate:
         assert err.startswith("usage error:") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("cap", ["nan", "-1", "0"])
+    def test_meaningless_blowup_cap_is_usage_error(self, tmp_path, capsys, cap):
+        out = tmp_path / "bad"
+        code = run_cli("simulate", "--spec", "sphere", "--grid", "16x32",
+                       "--t-end", "0.01", "--blowup-cap", cap, "--out", str(out))
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_infinite_blowup_cap_means_no_cap(self, tmp_path):
+        out = tmp_path / "nocap"
+        assert run_cli("simulate", "--spec", "sphere", "--grid", "16x32", "--t-end", "0.01",
+                       "--blowup-cap", "inf", "--out", str(out)) == 0
+        assert json.loads((out / "manifest.json").read_text())["stop_reason"] == "t_end"
+
+    @pytest.mark.parametrize("argv", [
+        ("--t-end", "0.01", "--radius", "1e-160"),          # a stage turns non-finite
+        ("--t0", "-1", "--t-end", "-0.9", "--cfl", "1e-300"),  # dt below the ulp of t
+    ])
+    def test_stalled_or_non_finite_run_ends_degenerate(self, tmp_path, capsys, argv):
+        out = tmp_path / "run"
+        code = run_cli("simulate", "--spec", "sphere", "--grid", "16x32", "--max-steps", "20",
+                       *argv, "--out", str(out))
+        assert code == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("degenerate:")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["stop_reason"] == "degenerate"
+        assert manifest["outputs"] == ["snap_000000.txt", "diagnostics.csv"]
+        assert all((out / name).exists() for name in manifest["outputs"])
+
+    def test_non_finite_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "bad"
+        assert run_cli("simulate", "--spec", "sphere", "--grid", "16x32", "--t-end", "0.01",
+                       "--radius", "nan", "--out", str(out)) == 64
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
+
     def test_blowup_exit_code(self, tmp_path):
         out = tmp_path / "blow"
         code = run_cli("simulate", "--spec", "sphere", "--grid", "16x32",
@@ -186,6 +225,8 @@ class TestCliVerify:
         ("--suite", "f-bound", "--eps", "nan"),
         ("--suite", "lemma31", "--threads", "1"),
         ("--suite", "lemma31", "--samples", "100", "--out", "{tmp}/missing/r.csv"),
+        ("--suite", "sphere-case1", "--r-amb", "1e300"),  # K = 1/R^2 underflows
+        ("--suite", "f-bound", "--r-amb", "1e-300"),      # K overflows
     ])
     def test_meaningless_run_is_usage_error(self, tmp_path, capsys, argv):
         rep = tmp_path / "r.csv"
@@ -429,28 +470,50 @@ class TestDeterminism:
             gm, wm = float(g["worstMargin"]), float(w["worstMargin"])
             assert abs(gm - wm) <= 1e-12 + 1e-9 * abs(wm), (w["suite"], w["n"], w["k"])
 
-    def test_forward_flow_matches_golden(self, tmp_path):
-        """The flow path pinned like the fuzz report: a perturbed 16x32 sphere
-        in R^4 flowed forward to t = 0.17, against committed diagnostics."""
-        out = tmp_path / "pert"
+    FORWARD_GOLDENS = (("diagnostics.csv", "sphere_k2_16x32_perturb_diagnostics.csv"),)
+    ANCIENT_GOLDENS = tuple(
+        (name, f"veronese_24x48_ancient_{golden}.csv")
+        for name, golden in (("diagnostics.csv", "diagnostics"), ("classify.csv", "classify"),
+                             ("area_fit.csv", "area_fit"),
+                             ("rescale_type2/summary.csv", "type2_summary")))
+
+    @pytest.fixture(scope="class")
+    def forward_run(self, tmp_path_factory):
+        """A perturbed 16x32 sphere in R^4 flowed forward to t = 0.17."""
+        out = tmp_path_factory.mktemp("golden") / "pert"
         assert run_cli("simulate", "--spec", "sphere", "--k", "2", "--grid", "16x32",
                        "--perturb", "0.02:3", "--t-end", "0.17", "--out", str(out)) == 0
-        assert_matches_golden(out / "diagnostics.csv",
-                              DATA / "sphere_k2_16x32_perturb_diagnostics.csv")
+        return out
 
-    def test_ancient_report_matches_golden(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def ancient_run(self, tmp_path_factory):
         """An Ancient Veronese run recording every step, then its type-I
-        classification, area fit and type-2 blow-up, against committed CSVs."""
-        out = tmp_path / "ver"
+        classification, area fit and type-2 blow-up."""
+        out = tmp_path_factory.mktemp("golden") / "ver"
         assert run_cli("simulate", "--spec", "veronese", "--grid", "24x48",
                        "--mode", "ancient", "--t0", "-1", "--t-end", "-0.9",
                        "--snapshot-every", "1", "--out", str(out)) == 0
         assert run_cli("report", "--in", str(out), "--classify", "--fit-area-decay",
                        "--rescale", "type2") == 0
-        for name, golden in (("diagnostics.csv", "diagnostics"), ("classify.csv", "classify"),
-                             ("area_fit.csv", "area_fit"),
-                             ("rescale_type2/summary.csv", "type2_summary")):
-            assert_matches_golden(out / name, DATA / f"veronese_24x48_ancient_{golden}.csv")
+        return out
+
+    def test_forward_flow_matches_golden(self, forward_run):
+        """The flow path pinned like the fuzz report, against committed
+        diagnostics."""
+        for name, golden in self.FORWARD_GOLDENS:
+            assert_matches_golden(forward_run / name, DATA / golden)
+
+    def test_ancient_report_matches_golden(self, ancient_run):
+        for name, golden in self.ANCIENT_GOLDENS:
+            assert_matches_golden(ancient_run / name, DATA / golden)
+
+    def test_flow_goldens_match_byte_for_byte(self, forward_run, ancient_run):
+        """The same files, byte for byte: a change to the order of the flow's
+        arithmetic shows here before it shows in the tolerances above."""
+        for run, goldens in ((forward_run, self.FORWARD_GOLDENS),
+                             (ancient_run, self.ANCIENT_GOLDENS)):
+            for name, golden in goldens:
+                assert (run / name).read_bytes() == (DATA / golden).read_bytes(), golden
 
     def test_entry_point_subprocess(self, tmp_path):
         # the installed console script path works end to end
