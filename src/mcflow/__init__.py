@@ -39,17 +39,12 @@ from .flow import (  # noqa: F401
 from .grid import ParamGrid  # noqa: F401
 from .immersion import (  # noqa: F401
     DiscreteImmersion,
-    PointGeometry,
-    covariant_gradients,
-    gauss_curvature,
     geometry_fields,
     integrate,
-    jacobian_metric,
     load_snapshot,
     normal_frame,
     save_snapshot,
     scalar_fields,
-    second_fundamental_form,
 )
 from .solutions import (  # noqa: F401
     SolutionSpec,
@@ -69,5 +64,4 @@ from .sphere import (  # noqa: F401
     gradient_coefficient,
     term_I_bound_check,
     term_II,
-    term_II_case1_check,
 )

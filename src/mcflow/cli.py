@@ -253,7 +253,6 @@ def cmd_simulate(args) -> int:
             "t0": t0, "t_end": config.t_end, "cfl": config.cfl,
             "snapshot_every": config.snapshot_every,
             "max_steps": config.max_steps, "blowup_cap": config.stop_on_blowup,
-            "integrator": config.integrator,
         },
         "mode": mode,
         "T_singular": traj.T_singular,

@@ -134,7 +134,8 @@ class CurvatureOperator:
 class PinchSpec:
     """Parameters of the quadratic pinching quantity Q = |h|^2 + a - c |H|^2.
 
-    The f_sigma functional's sigma and p live on :class:`mcflow.flow.FlowConfig`.
+    The f_sigma functional's sigma and p are ``mcflow.flow.PHI_SIGMA`` and
+    ``mcflow.flow.PHI_P``.
     """
 
     c: float

@@ -1,11 +1,11 @@
 """Time integration of the curvature flow dF/dt = H and trajectory analysis.
 
 The stepper advances node positions with the mean curvature vector extracted
-by :mod:`mcflow.immersion`; explicit RK4 (default) or forward Euler.  A run
-extracts each state once, with ``scalar_fields``: that validates it, bounds
-the step and the blow-up cap, gives the first RK stage and measures recorded
-states.  Later stages call ``mean_curvature_vector``; no flow code builds the
-full ``GeometryFields``.  ``step`` holds its states and stage velocities
+by :mod:`mcflow.immersion` in explicit RK4 steps.  A run extracts each state
+once, with ``scalar_fields``: that validates it, bounds the step and the
+blow-up cap, gives the first RK stage and measures recorded states.  Later
+stages call ``mean_curvature_vector``; no flow code builds the full
+``GeometryFields``.  ``step`` holds its states and stage velocities
 components first, (n+k, *res), and the filter below transforms along their
 contiguous longitude axis.  On lat-long grids the velocity field passes
 through a zonal spectral filter that removes Fourier modes the meridional
@@ -24,7 +24,7 @@ zonal wavelength counts, not the raw pole-clustered spacing):
     dt = cfl * s_min^2 / (2 n (1 + max|h|^2 * s_min^2)),   s_min = min s_eff.
 
 For the resolved modes this gives |lambda| dt <= cfl * pi^2 / (2 n), inside
-the RK4 real-axis stability region for cfl <= 1 (and Euler's for cfl <= 0.8).
+the RK4 real-axis stability region for cfl <= 1.
 
 Diagnostics records carry, per recorded time: area, integral of |H|^2,
 max/min |H|, max pinching ratio, minQ := min over nodes of -Q (the distance to
@@ -70,7 +70,6 @@ __all__ = [
     "fit_area_decay",
     "write_diagnostics_csv",
     "read_diagnostics_csv",
-    "synthetic_trajectory",
     "CSV_COLUMNS",
 ]
 
@@ -84,13 +83,12 @@ PHI_P = 10.0
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Knobs of a flow run: the end time, the step bound's factor, the
-    integrator, the two stops (step count, cap on max |h|^2) and the record
-    interval.  What each record measures is fixed; see :func:`diagnostics`."""
+    """Knobs of a flow run: the end time, the step bound's factor, the two
+    stops (step count, cap on max |h|^2) and the record interval.  What each
+    record measures is fixed; see :func:`diagnostics`."""
 
     t_end: float
     cfl: float = 0.2
-    integrator: str = "RK4"
     max_steps: int = 1_000_000
     stop_on_blowup: float = 1e6        # cap on max |h|^2
     snapshot_every: int = 25
@@ -98,8 +96,6 @@ class FlowConfig:
     def __post_init__(self):
         if not 0 < self.cfl <= 1:
             raise ValueError("cfl must lie in (0, 1]")
-        if self.integrator not in ("RK4", "Euler"):
-            raise ValueError("integrator must be RK4 or Euler")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if not self.stop_on_blowup > 0:
@@ -237,9 +233,9 @@ def cfl_dt(im: DiscreteImmersion, cfl: float) -> float:
     return _dt_bound(im, cfl, scalar_fields(im))
 
 
-def step(im: DiscreteImmersion, dt: float, integrator: str = "RK4",
+def step(im: DiscreteImmersion, dt: float,
          first_stage_velocity: np.ndarray | None = None) -> DiscreteImmersion:
-    """Advance the immersion one explicit step of size dt.
+    """Advance the immersion one explicit RK4 step of size dt.
 
     ``first_stage_velocity`` lets a caller that already extracted the current
     geometry reuse it for the first stage.
@@ -255,15 +251,10 @@ def step(im: DiscreteImmersion, dt: float, integrator: str = "RK4",
     pos = np.ascontiguousarray(np.moveaxis(im.positions, -1, 0))
     k1 = (velocity(pos) if first_stage_velocity is None
           else np.moveaxis(first_stage_velocity, -1, 0))
-    if integrator == "Euler":
-        new = pos + dt * k1
-    elif integrator == "RK4":
-        k2 = velocity(pos + 0.5 * dt * k1)
-        k3 = velocity(pos + 0.5 * dt * k2)
-        k4 = velocity(pos + dt * k3)
-        new = pos + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    else:
-        raise ValueError("integrator must be RK4 or Euler")
+    k2 = velocity(pos + 0.5 * dt * k1)
+    k3 = velocity(pos + 0.5 * dt * k2)
+    k4 = velocity(pos + dt * k3)
+    new = pos + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return im.with_positions(np.moveaxis(new, 0, -1), im.t + dt)
 
 
@@ -350,50 +341,53 @@ def run(seed: DiscreteImmersion, config: FlowConfig, mode: str = "Forward") -> T
     that is not finite, or a step bound too small to move t) aborts with the
     last good snapshot; a seed that fails extraction raises.
     """
-    im = seed.copy()
-    sf = scalar_fields(im)
-    snapshots, pre = [], []
+    # a degenerating state overflows or divides by zero on its way to the
+    # condition and finiteness checks, which end the run; numpy need not warn
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        im = seed.copy()
+        sf = scalar_fields(im)
+        snapshots, pre = [], []
 
-    def record(state: DiscreteImmersion, fields: ScalarFields) -> None:
-        snapshots.append(state.copy())
-        pre.append(diagnostics(state, mode="Ancient", fields=fields))
+        def record(state: DiscreteImmersion, fields: ScalarFields) -> None:
+            snapshots.append(state.copy())
+            pre.append(diagnostics(state, mode="Ancient", fields=fields))
 
-    record(im, sf)
-    stop_reason = "t_end"
-    steps = 0
-    t_end = config.t_end
-    while im.t < t_end - 1e-15 and steps < config.max_steps:
-        if float(sf.normh2.max()) > config.stop_on_blowup:
-            stop_reason = "blowup"
-            break
-        try:
-            dt = min(_dt_bound(im, config.cfl, sf), t_end - im.t)
-            if not im.t + dt > im.t:
-                raise DegenerateGeometryError(f"a step of {dt:.3e} leaves t = {im.t!r} unchanged")
-            nxt = step(im, dt, config.integrator,
-                       first_stage_velocity=_polar_filter(im.grid, sf.Hvec))
-            sf = scalar_fields(nxt)
-        except DegenerateGeometryError:
-            stop_reason = "degenerate"
-            break
-        im = nxt
-        steps += 1
-        if steps % config.snapshot_every == 0:
-            record(im, sf)
-    if steps >= config.max_steps and im.t < t_end - 1e-15 and stop_reason == "t_end":
-        stop_reason = "max_steps"
-    if stop_reason != "degenerate" and snapshots[-1].t < im.t:
         record(im, sf)
+        stop_reason = "t_end"
+        steps = 0
+        t_end = config.t_end
+        while im.t < t_end - 1e-15 and steps < config.max_steps:
+            if float(sf.normh2.max()) > config.stop_on_blowup:
+                stop_reason = "blowup"
+                break
+            try:
+                dt = min(_dt_bound(im, config.cfl, sf), t_end - im.t)
+                if not im.t + dt > im.t:
+                    raise DegenerateGeometryError(
+                        f"a step of {dt:.3e} leaves t = {im.t!r} unchanged")
+                nxt = step(im, dt, first_stage_velocity=_polar_filter(im.grid, sf.Hvec))
+                sf = scalar_fields(nxt)
+            except DegenerateGeometryError:
+                stop_reason = "degenerate"
+                break
+            im = nxt
+            steps += 1
+            if steps % config.snapshot_every == 0:
+                record(im, sf)
+        if steps >= config.max_steps and im.t < t_end - 1e-15 and stop_reason == "t_end":
+            stop_reason = "max_steps"
+        if stop_reason != "degenerate" and snapshots[-1].t < im.t:
+            record(im, sf)
 
-    T = None
-    if mode == "Forward":
-        T = _estimate_singular_time(np.array([r.t for r in pre]),
-                                    np.array([r.maxH ** 2 for r in pre]))
-        records = [replace(r, tIq=_type1_weight(r.t, mode, T) * r.maxH ** 2) for r in pre]
-    else:
-        records = pre
-    return Trajectory(snapshots=snapshots, diagnostics=records, mode=mode,
-                      T_singular=T, stop_reason=stop_reason)
+        T = None
+        if mode == "Forward":
+            T = _estimate_singular_time(np.array([r.t for r in pre]),
+                                        np.array([r.maxH ** 2 for r in pre]))
+            records = [replace(r, tIq=_type1_weight(r.t, mode, T) * r.maxH ** 2) for r in pre]
+        else:
+            records = pre
+        return Trajectory(snapshots=snapshots, diagnostics=records, mode=mode,
+                          T_singular=T, stop_reason=stop_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -524,22 +518,6 @@ def fit_area_decay(traj: Trajectory, window: Optional[tuple[float, float]] = Non
         raise ValueError("not enough records in the fit window")
     r_exp, logc = np.polyfit(np.log(x[keep]), np.log(y[keep]), 1)
     return float(math.exp(logc)), float(r_exp)
-
-
-def synthetic_trajectory(times, max_h2, mode: str = "Ancient",
-                         T: Optional[float] = None) -> Trajectory:
-    """Diagnostics-only trajectory from a max|H|^2 time series (no snapshots);
-    used to feed scalar laws through the classification machinery."""
-    times = np.asarray(times, dtype=float)
-    max_h2 = np.asarray(max_h2, dtype=float)
-    recs = []
-    for t, h2 in zip(times, max_h2):
-        tiq = _type1_weight(t, mode, T) * h2
-        recs.append(DiagnosticsRecord(
-            t=float(t), area=math.nan, intH2=math.nan, maxH=math.sqrt(h2),
-            minH=math.nan, maxRatio=math.nan, minQ=math.nan, phi=math.nan,
-            gaussBonnet=None, tIq=float(tiq)))
-    return Trajectory(snapshots=[], diagnostics=recs, mode=mode, T_singular=T)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ d2F/du_i du_j, and the induced metric g = jac^T jac in closed form with its
 condition check.  On it sit ``mean_curvature_vector`` (the velocity alone),
 ``scalar_fields`` (H, |H|^2, |h|^2, det g: the flow's per-step kernel, which
 projects each second derivative without forming P = I - jac g^(-1) jac^T) and
-``geometry_fields`` (for frames, covariant gradients and the pointwise API:
+``geometry_fields`` (for ``point_curvature_field`` and covariant gradients:
 adds P and the ambient-valued second fundamental form
 hvec_ij = P d2F/du_i du_j; normal projection removes all tangential terms, so
 h needs no Christoffel term).
@@ -22,7 +22,7 @@ them, which makes discrete metric compatibility (nabla g = 0) hold exactly.
 
 Pointwise scalar invariants (|H|^2, |h|^2, ratio, Gauss curvature) never need
 a normal frame; frames are only constructed when the frame-adapted tensor
-h[i, j, a] itself is requested.
+h[i, j, a] itself is requested, from ``point_curvature_field``.
 """
 
 from __future__ import annotations
@@ -32,27 +32,20 @@ from typing import Optional
 
 import numpy as np
 
-from .curvature import PointCurvature
 from .errors import DegenerateGeometryError, NonFiniteError
 from .grid import ParamGrid, pad2, stencil_d1, stencil_d2
 
 __all__ = [
     "DiscreteImmersion",
     "mean_curvature_vector",
-    "PointGeometry",
     "ScalarFields",
     "scalar_fields",
     "GeometryFields",
     "geometry_fields",
-    "jacobian_metric",
     "normal_frame",
-    "normal_frame_field",
-    "second_fundamental_form",
     "point_curvature_field",
-    "covariant_gradients",
     "covariant_gradient_fields",
     "integrate",
-    "gauss_curvature",
     "gauss_curvature_field",
     "save_snapshot",
     "load_snapshot",
@@ -107,17 +100,6 @@ class DiscreteImmersion:
 
     def copy(self) -> "DiscreteImmersion":
         return self.with_positions(self.positions.copy(), self.t)
-
-
-@dataclass(frozen=True)
-class PointGeometry:
-    """Full first/second order data at one node."""
-
-    g: np.ndarray          # (n, n) induced metric
-    jac: np.ndarray        # (n+k, n)
-    normals: np.ndarray    # (n+k, k) orthonormal complement
-    h_coord: np.ndarray    # (n, n, k) coordinate-basis second fundamental form
-    pc: PointCurvature     # frame-adapted tensor
 
 
 @dataclass(frozen=True)
@@ -280,8 +262,8 @@ def scalar_fields(im: DiscreteImmersion) -> ScalarFields:
 
 
 def geometry_fields(im: DiscreteImmersion) -> GeometryFields:
-    """Full first and second fundamental data over the whole grid, for frames,
-    covariant gradients and the pointwise API.  The scalars and H are those of
+    """Full first and second fundamental data over the whole grid, for the
+    frame-adapted field and covariant gradients.  The scalars and H are those of
     :func:`scalar_fields`; hvec_ij = P d2F/du_i du_j adds the projector."""
     ext = _extract(im)
     nd, amb = im.n, im.ambient_dim
@@ -336,70 +318,17 @@ def normal_frame(jac: np.ndarray) -> np.ndarray:
     return frames * np.where(picked < 0, -1.0, 1.0)[..., None, :]
 
 
-def _serpentine(res: tuple[int, ...]):
-    if len(res) == 1:
-        for i in range(res[0]):
-            yield (i,)
-        return
-    for i in range(res[0]):
-        cols = range(res[1]) if i % 2 == 0 else range(res[1] - 1, -1, -1)
-        for j in cols:
-            yield (i, j)
-
-
-def normal_frame_field(im: DiscreteImmersion, gf: GeometryFields | None = None) -> np.ndarray:
-    """Normal frames at every node, shape (*res, n+k, k).
-
-    The frames of :func:`normal_frame` are swept in a fixed serpentine node
-    order and each is rotated onto its predecessor by the orthogonal
-    Procrustes solution, which makes the field continuous wherever the raw
-    factorisation jumps.  The sweep is sequential by construction, so the
-    result does not depend on any parallelism in the surrounding code.
-    """
+def point_curvature_field(im: DiscreteImmersion, gf: GeometryFields | None = None):
+    """Frame-adapted h[i, j, a] at every node plus the frames used, those of
+    :func:`normal_frame` node by node.  Nothing aligns neighbouring frames:
+    every quantity built from h[i, j, a] (|H|^2, |h|^2, R1, R2, |R_perp|^2)
+    is invariant under an O(k) change of frame at each node."""
     if gf is None:
         gf = geometry_fields(im)
     frames = normal_frame(gf.jac)
-    order = list(_serpentine(im.grid.res))
-    prev = order[0]
-    for node in order[1:]:
-        m = frames[node].T @ frames[prev]
-        u, _, vt = np.linalg.svd(m)
-        frames[node] = frames[node] @ (u @ vt)
-        prev = node
-    return frames
-
-
-def point_curvature_field(im: DiscreteImmersion, gf: GeometryFields | None = None):
-    """Frame-adapted h[i, j, a] at every node plus the frames used."""
-    if gf is None:
-        gf = geometry_fields(im)
-    frames = normal_frame_field(im, gf)
     isq = _isqrt_metric(gf.g, gf.detg, im.n)
     hadapt = np.einsum("...ip,...jq,...pqx,...xa->...ija", isq, isq, gf.hvec, frames)
     return hadapt, frames
-
-
-# ---------------------------------------------------------------------------
-# pointwise API
-# ---------------------------------------------------------------------------
-
-def jacobian_metric(im: DiscreteImmersion, node) -> tuple[np.ndarray, np.ndarray]:
-    """(Jacobian, induced metric) at one node."""
-    gf = geometry_fields(im)
-    node = tuple(node)
-    return gf.jac[node], gf.g[node]
-
-
-def second_fundamental_form(im: DiscreteImmersion, node) -> PointGeometry:
-    """Full pointwise geometry at one node, including the frame-adapted tensor."""
-    gf = geometry_fields(im)
-    node = tuple(node)
-    nor = normal_frame(gf.jac[node])
-    h_coord = np.einsum("ijx,xa->ija", gf.hvec[node], nor)
-    isq = _isqrt_metric(gf.g[node][None], gf.detg[node][None], im.n)[0]
-    h_frame = np.einsum("ip,jq,pqa->ija", isq, isq, h_coord)
-    return PointGeometry(g=gf.g[node], jac=gf.jac[node], normals=nor,
-                         h_coord=h_coord, pc=PointCurvature(h_frame))
 
 
 def covariant_gradient_fields(im: DiscreteImmersion,
@@ -453,13 +382,6 @@ def covariant_gradient_fields(im: DiscreteImmersion,
     return gradh2, gradH2
 
 
-def covariant_gradients(im: DiscreteImmersion, node) -> tuple[float, float]:
-    """(|grad h|^2, |grad H|^2) at one node."""
-    gradh2, gradH2 = covariant_gradient_fields(im)
-    node = tuple(node)
-    return float(gradh2[node]), float(gradH2[node])
-
-
 def integrate(im: DiscreteImmersion, field_values, gf: ScalarFields | None = None) -> float:
     """Integral of a nodal scalar field against the induced area measure."""
     if gf is None:
@@ -477,10 +399,6 @@ def gauss_curvature_field(im: DiscreteImmersion, gf: ScalarFields | None = None)
     if gf is None:
         gf = scalar_fields(im)
     return (gf.normH2 - gf.normh2) / 2.0
-
-
-def gauss_curvature(im: DiscreteImmersion, node) -> float:
-    return float(gauss_curvature_field(im)[tuple(node)])
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,6 @@ __all__ = [
     "SphereAux",
     "aux_f",
     "term_II",
-    "term_II_case1_check",
     "term_I_bound_check",
     "gradient_coefficient",
     "decay_bound",
@@ -129,31 +128,6 @@ def aux_f(pc: PointCurvature, amb: SphereAmbient, eps: float) -> SphereAux:
 def term_II(pc: PointCurvature, amb: SphereAmbient, eps: float) -> float:
     """Reaction group II at a point; MinimalPointError where |H| = 0 and b = 0."""
     return float(batch_term_II(pc.h[None], amb, eps)[0])
-
-
-def term_II_case1_check(pc: PointCurvature, amb: SphereAmbient, eps: float,
-                        delta: float, theta: float):
-    """Margin of II below -2 theta K f: returns (-2 theta K f) - II.
-
-    Applies under the case-1 hypotheses: |h|^2 - |H|^2/3 <= (2 - delta) K for
-    n = 4, or |h|^2 - |H|^2/(n-1) <= 2K for n >= 5.  A sample outside its
-    hypothesis is rejected, not an error: the return value is None and the
-    fuzz suites simply skip it.  Only n >= 4 is accepted at all.
-    """
-    n = pc.n
-    if n < 4:
-        raise ValueError("the case-1 estimate is only claimed for n >= 4")
-    normH2, normh2, _ = (float(x[0]) for x in batch_scalars(pc.h[None]))
-    K = amb.K
-    slack = 1.0 + 1e-12
-    if n == 4:
-        if normh2 - normH2 / 3.0 > (2.0 - delta) * K * slack:
-            return None
-    elif normh2 - normH2 / (n - 1) > 2.0 * K * slack:
-        return None
-    f = float(batch_aux_f(pc.h[None], amb, eps)[0])
-    ii = float(batch_term_II(pc.h[None], amb, eps)[0])
-    return -2.0 * theta * K * f - ii
 
 
 def gradient_coefficient(n: int) -> Fraction:

@@ -1,9 +1,12 @@
 """Shared fixtures: reference surfaces that are not solution seeds."""
 
+import math
+
 import numpy as np
 import pytest
 
-from mcflow import DiscreteImmersion, ParamGrid
+from mcflow import DiagnosticsRecord, DiscreteImmersion, ParamGrid, Trajectory
+from mcflow.flow import _type1_weight
 
 
 def ellipsoid_of_revolution(res, a=1.0, c=2.0, k=1):
@@ -32,6 +35,17 @@ def donut_torus(res, R=1.5, r=0.5):
     return DiscreteImmersion(grid=grid, n=2, k=1, positions=pos, t=0.0)
 
 
+def synthetic_trajectory(times, max_h2, mode="Ancient", T=None):
+    """Diagnostics-only trajectory from a max|H|^2 time series (no snapshots),
+    to feed scalar laws through the classification machinery."""
+    recs = [DiagnosticsRecord(t=float(t), area=math.nan, intH2=math.nan,
+                              maxH=math.sqrt(h2), minH=math.nan, maxRatio=math.nan,
+                              minQ=math.nan, phi=math.nan, gaussBonnet=None,
+                              tIq=float(_type1_weight(t, mode, T) * h2))
+            for t, h2 in zip(np.asarray(times, dtype=float), np.asarray(max_h2, dtype=float))]
+    return Trajectory(snapshots=[], diagnostics=recs, mode=mode, T_singular=T)
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
@@ -45,8 +59,6 @@ def cap_oracle_worst_error(n, R, rho0, t0, t_lo, t_hi, steps):
     rho directly evaluates tan next to pi/2 early on and loses seven digits.
     Returns the worst relative disagreement with the closed form.
     """
-    import math
-
     from mcflow import cap_radius
 
     dt = (t_hi - t_lo) / steps

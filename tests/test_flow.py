@@ -29,7 +29,6 @@ from mcflow import (
 from mcflow.flow import (
     CSV_COLUMNS,
     read_diagnostics_csv,
-    synthetic_trajectory,
     write_diagnostics_csv,
     _effective_spacing_sq,
     _polar_filter,
@@ -37,6 +36,7 @@ from mcflow.flow import (
     _zonal_cutoffs,
 )
 from mcflow.immersion import geometry_fields, scalar_fields
+from conftest import synthetic_trajectory
 
 
 def sphere_seed(res=(32, 64), k=1, radius=1.0, amp=0.0, mode=2, t=0.0):
@@ -68,12 +68,6 @@ class TestStep:
         im = seed_immersion(spec, grid, 0.0)
         out = step(im, 1e-4)
         assert np.abs(out.positions[..., 2] - im.positions[..., 2]).max() <= 1e-12
-
-    def test_euler_first_order_consistency(self):
-        im = circle_seed()
-        a = step(im, 1e-5, integrator="Euler")
-        b = step(im, 1e-5, integrator="RK4")
-        assert np.abs(a.positions - b.positions).max() <= 1e-9
 
     def test_rk4_fourth_order_in_time(self):
         # spatial error cancels between runs on the same grid, so successive

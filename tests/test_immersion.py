@@ -10,27 +10,27 @@ from mcflow import (
     DegenerateGeometryError,
     DiscreteImmersion,
     ParamGrid,
+    PointCurvature,
     SolutionSpec,
-    covariant_gradients,
-    gauss_curvature,
     integrate,
-    jacobian_metric,
     load_snapshot,
+    normal_curvature,
     normal_frame,
     save_snapshot,
-    second_fundamental_form,
+    scalars,
     seed_immersion,
 )
+from mcflow.curvature import batch_normal_curvature, batch_reaction_terms, batch_scalars
 from mcflow.immersion import (
     _SNAPSHOT_BLOCK,
     covariant_gradient_fields,
     gauss_curvature_field,
     geometry_fields,
     mean_curvature_vector,
-    normal_frame_field,
     point_curvature_field,
     scalar_fields,
 )
+from mcflow.sampling import generator, random_rotations
 from conftest import donut_torus, ellipsoid_of_revolution
 
 
@@ -49,7 +49,7 @@ def circle(res=512, radius=2.0, k=1):
 class TestJacobianMetric:
     def test_circle_metric_is_radius_squared(self):
         im = circle(radius=2.0)
-        jac, g = jacobian_metric(im, (0,))
+        g = geometry_fields(im).g[0]
         assert g.shape == (1, 1)
         assert g[0, 0] == pytest.approx(4.0, abs=1e-7)
 
@@ -57,7 +57,7 @@ class TestJacobianMetric:
         # resolution chosen so the fourth-order stencil error sits below 1e-8
         im = unit_sphere((192, 384))
         row = 96  # closest to the equator
-        _, g = jacobian_metric(im, (row, 0))
+        g = geometry_fields(im).g[row, 0]
         theta = (row + 0.5) * math.pi / 192
         assert g[0, 0] == pytest.approx(1.0, abs=1e-8)
         assert g[1, 1] == pytest.approx(math.sin(theta) ** 2, abs=1e-8)
@@ -176,21 +176,13 @@ class TestNormalFrame:
         with pytest.raises(DegenerateGeometryError):
             normal_frame(jac)
 
-    def test_aligned_field_is_continuous(self):
-        im = unit_sphere((16, 32), k=2)
-        frames = normal_frame_field(im)
-        # neighbouring frames along the serpentine path stay close
-        jumps = np.linalg.norm(frames[:, 1:] - frames[:, :-1], axis=(-2, -1))
-        assert jumps.max() < 0.5
-
 
 class TestSecondFundamentalForm:
     def test_unit_sphere_is_umbilic(self):
         im = unit_sphere((64, 128))
-        pg = second_fundamental_form(im, (10, 20))
-        assert np.abs(np.abs(pg.pc.h[:, :, 0]) - np.eye(2)).max() <= 1e-6
-        from mcflow import scalars
-        assert scalars(pg.pc).ratio == pytest.approx(0.5, abs=1e-3)
+        h = point_curvature_field(im)[0][10, 20]
+        assert np.abs(np.abs(h[:, :, 0]) - np.eye(2)).max() <= 1e-6
+        assert scalars(PointCurvature(h)).ratio == pytest.approx(0.5, abs=1e-3)
 
     def test_circle_mean_curvature(self):
         im = circle(res=512, radius=2.0)
@@ -209,16 +201,55 @@ class TestSecondFundamentalForm:
         gf = geometry_fields(im)
         ratio = gf.normh2 / gf.normH2
         assert np.abs(ratio - 5.0 / 6.0).max() <= 1e-3
-        pg = second_fundamental_form(im, (20, 31))
-        from mcflow import normal_curvature
-        assert normal_curvature(pg.pc).norm_sq == pytest.approx(16.0 / 9.0, abs=1e-3)
+        pc = PointCurvature(point_curvature_field(im, gf)[0][20, 31])
+        assert normal_curvature(pc).norm_sq == pytest.approx(16.0 / 9.0, abs=1e-3)
 
-    def test_pc_invariants(self):
+
+def rperp_norm_sq(h):
+    """|R_perp|^2 at every node of a (*res, n, n, k) field."""
+    rp = batch_normal_curvature(h.reshape((-1,) + h.shape[-3:]))
+    return np.einsum("bijac,bijac->b", rp, rp)
+
+
+class TestPointCurvatureField:
+    """The frame-adapted h[i, j, a] at every node, in the frames of
+    normal_frame taken node by node."""
+
+    def test_scalars_match_geometry_fields(self):
         im = ellipsoid_of_revolution((32, 64), k=2)
-        pg = second_fundamental_form(im, (5, 9))
-        assert np.abs(pg.normals.T @ pg.normals - np.eye(2)).max() <= 1e-12
-        assert np.abs(pg.normals.T @ pg.jac).max() <= 1e-10
-        assert pg.pc.h.shape == (2, 2, 2)
+        gf = geometry_fields(im)
+        h, _ = point_curvature_field(im, gf)
+        normH2, normh2, _ = batch_scalars(h.reshape(-1, 2, 2, 2))
+        for got, want in ((normH2, gf.normH2), (normh2, gf.normh2)):
+            assert np.abs(got - want.ravel()).max() <= 1e-12 * np.abs(want).max()
+
+    def test_frames_are_orthonormal_normals(self):
+        im = ellipsoid_of_revolution((32, 64), k=2)
+        gf = geometry_fields(im)
+        h, frames = point_curvature_field(im, gf)
+        assert h.shape == (32, 64, 2, 2, 2) and frames.shape == (32, 64, 4, 2)
+        gram = np.swapaxes(frames, -1, -2) @ frames
+        assert np.abs(gram - np.eye(2)).max() <= 1e-12
+        assert np.abs(np.swapaxes(frames, -1, -2) @ gf.jac).max() <= 1e-10
+
+    def test_invariants_do_not_depend_on_the_frames(self):
+        # Veronese: |R_perp|^2 is far from zero, so a relative bound means something
+        im = seed_immersion(SolutionSpec(kind="Veronese", n=2, k=3),
+                            ParamGrid("LatLongSphere", (24, 48)), 0.0)
+        h, _ = point_curvature_field(im)
+        rot = random_rotations(generator(11, 3), 24 * 48, 3).reshape(24, 48, 3, 3)
+        turned = np.einsum("...ijb,...ba->...ija", h, rot)
+        flat = lambda x: x.reshape(-1, 2, 2, 3)
+        pairs = [*zip(batch_reaction_terms(flat(h)), batch_reaction_terms(flat(turned))),
+                 (rperp_norm_sq(h), rperp_norm_sq(turned))]
+        for want, got in pairs:
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_veronese_normal_curvature_everywhere(self):
+        im = seed_immersion(SolutionSpec(kind="Veronese", n=2, k=3),
+                            ParamGrid("LatLongSphere", (96, 192)), 0.0)
+        h, _ = point_curvature_field(im)
+        assert np.abs(rperp_norm_sq(h) - 16.0 / 9.0).max() <= 1e-3
 
 
 class TestConvergenceOrder:
@@ -300,8 +331,8 @@ class TestCovariantGradients:
 
     def test_pointwise_accessor(self):
         im = unit_sphere((16, 32))
-        gh2, gH2 = covariant_gradients(im, (3, 7))
-        assert gh2 >= 0.0 and gH2 >= 0.0
+        gh2, gH2 = covariant_gradient_fields(im)
+        assert gh2[3, 7] >= 0.0 and gH2[3, 7] >= 0.0
 
 
 class TestIntegrate:
@@ -325,7 +356,7 @@ class TestIntegrate:
 class TestGaussCurvature:
     def test_unit_sphere(self):
         im = unit_sphere((64, 128))
-        assert gauss_curvature(im, (12, 40)) == pytest.approx(1.0, abs=1e-3)
+        assert gauss_curvature_field(im)[12, 40] == pytest.approx(1.0, abs=1e-3)
 
     def test_veronese(self):
         grid = ParamGrid("LatLongSphere", (96, 192))
@@ -349,7 +380,7 @@ class TestGaussCurvature:
     def test_requires_surface(self):
         im = circle()
         with pytest.raises(ValueError):
-            gauss_curvature(im, (0,))
+            gauss_curvature_field(im)
 
 
 class TestSnapshots:

@@ -16,11 +16,11 @@ from mcflow import (
     gradient_coefficient,
     term_I_bound_check,
     term_II,
-    term_II_case1_check,
 )
 from mcflow.curvature import batch_reaction_terms, batch_scalars
 from mcflow.sampling import generator, sphere_pinched_tensors, symmetric_tensors
 from mcflow.sphere import batch_aux_f, batch_term_II
+from mcflow.verify import run_suite
 
 
 def umbilic(n=3, k=2, scale=1.0):
@@ -118,21 +118,30 @@ class TestTermII:
                 assert margin.min() >= -1e-10 * amb.K, f"case-2 fails n={n} k={k}"
 
 
+def case1_margin(h, amb, eps, theta):
+    """(-2 theta K f) - II, the margin the case-1 suite requires nonnegative."""
+    return -2.0 * theta * amb.K * batch_aux_f(h, amb, eps) - batch_term_II(h, amb, eps)
+
+
 class TestCase1:
     def test_umbilic_margin_zero(self):
-        amb = SphereAmbient(1.0)
-        m = term_II_case1_check(umbilic(4, 2), amb, 1e-3, 0.1, 2e-3)
-        assert m == pytest.approx(0.0, abs=1e-14)
+        m = case1_margin(umbilic(4, 2).h[None], SphereAmbient(1.0), 1e-3, 2e-3)
+        assert m[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_rejects_low_dimension(self):
-        with pytest.raises(ValueError):
-            term_II_case1_check(umbilic(3, 1), SphereAmbient(1.0), 1e-3, 0.1, 2e-3)
+        with pytest.raises(ValueError, match="n >= 4"):
+            run_suite("sphere-case1", 10, 1, n=3)
 
     def test_unpinched_sample_is_rejected_not_errored(self):
-        h = np.zeros((4, 4, 1))
-        h[:, :, 0] = np.diag([5.0, -5.0, 0.0, 0.0])   # wildly unpinched
-        out = term_II_case1_check(PointCurvature(h), SphereAmbient(1.0), 1e-3, 0.1, 2e-3)
-        assert out is None
+        # outside the n = 4 hypothesis |h|^2 - |H|^2/3 <= (2 - delta) K, which
+        # the suite's sampler cap |h0|^2 <= |H|^2/12 + (2 - delta) K encodes,
+        # yet the kernels evaluate it
+        amb, delta = SphereAmbient(1.0), 0.1
+        h = np.zeros((1, 4, 4, 1))
+        h[0, :, :, 0] = np.diag([5.0, -5.0, 0.0, 0.0])   # wildly unpinched
+        normH2, normh2, _ = batch_scalars(h)
+        assert normh2[0] - normH2[0] / 3.0 > (2.0 - delta) * amb.K
+        assert np.isfinite(case1_margin(h, amb, 1e-3, 2e-3)).all()
 
     @pytest.mark.parametrize("n,delta", [(4, 0.1), (5, 0.0)])
     def test_case1_margin_small_fuzz(self, n, delta):
@@ -145,9 +154,10 @@ class TestCase1:
         else:
             cap = lambda H2: H2 / (n * (n - 1)) + 2.0 * amb.K
         h = sphere_pinched_tensors(rng, 20_000, n, 2, cap)
-        f = batch_aux_f(h, amb, eps)
-        ii = batch_term_II(h, amb, eps)
-        margin = -2.0 * theta * amb.K * f - ii
+        # the cap keeps every sample inside |h|^2 - |H|^2/(n-1) <= (2 - delta) K
+        normH2, normh2, _ = batch_scalars(h)
+        assert (normh2 - normH2 / (n - 1)).max() <= (2.0 - delta) * amb.K * (1.0 + 1e-12)
+        margin = case1_margin(h, amb, eps, theta)
         assert margin.min() >= -1e-10 * amb.K
 
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,17 @@ class TestCliSimulate:
         assert manifest["stop_reason"] == "degenerate"
         assert manifest["outputs"] == ["snap_000000.txt", "diagnostics.csv"]
         assert all((out / name).exists() for name in manifest["outputs"])
+
+    @pytest.mark.parametrize("radius", ["1e-160", "1e300"])
+    def test_degenerate_run_prints_no_warning(self, tmp_path, capsys, radius):
+        # pytest records numpy's RuntimeWarnings instead of printing them;
+        # raised as errors, one that reached the run would end it in a traceback
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli("simulate", "--spec", "sphere", "--grid", "16x32", "--t-end", "0.01",
+                           "--radius", radius, "--out", str(tmp_path / "run"))
+        assert code == 3
+        assert len(capsys.readouterr().err.splitlines()) <= 1
 
     def test_non_finite_seed_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "bad"
