@@ -2,24 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .curvature import (  # noqa: F401
-    AdaptedSplit,
-    CurvatureOperator,
-    CurvatureScalars,
-    NormalCurvature,
-    PinchSpec,
-    PointCurvature,
-    adapted_split,
-    cn,
-    gauss_operator,
-    normal_curvature,
-    pinch_Q,
-    pinching_pair_identity,
-    reaction_estimate_gap,
-    reaction_terms,
-    scalars,
-    traceless,
-)
+from .curvature import cn  # noqa: F401
 from .errors import CapExtinctError, DegenerateGeometryError, MinimalPointError  # noqa: F401
 from .flow import (  # noqa: F401
     DiagnosticsRecord,
@@ -58,10 +41,7 @@ from .solutions import (  # noqa: F401
 )
 from .sphere import (  # noqa: F401
     SphereAmbient,
-    SphereAux,
-    aux_f,
     decay_bound,
     gradient_coefficient,
     term_I_bound_check,
-    term_II,
 )

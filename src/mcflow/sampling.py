@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curvature import PointCurvature, batch_mean_vector, batch_traceless
+from .curvature import batch_mean_vector, batch_traceless
 
 __all__ = [
     "generator",
@@ -26,7 +26,6 @@ __all__ = [
     "sphere_pinched_tensors",
     "random_rotations",
     "rotate_tensors",
-    "rotate_point",
 ]
 
 
@@ -159,8 +158,3 @@ def rotate_tensors(h: np.ndarray, o_tan: np.ndarray, o_nor: np.ndarray) -> np.nd
     s = np.einsum("ipz,pqbz->iqbz", o_t, t)
     r = np.einsum("jqz,iqbz->ijbz", o_t, s, out=t)
     return np.ascontiguousarray(np.moveaxis(r, -1, 0))
-
-
-def rotate_point(pc: PointCurvature, o_tan: np.ndarray, o_nor: np.ndarray) -> PointCurvature:
-    """Rotate one point tensor with the convention of :func:`rotate_tensors`."""
-    return PointCurvature(rotate_tensors(pc.h[None], o_tan[None], o_nor[None])[0])

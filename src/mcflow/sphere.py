@@ -11,11 +11,14 @@ whose evolution splits into a gradient group I and a reaction group II,
                                - R2 |h0|^2 / (|H|^2 + b)
                                - n K |h0|^2 |H|^2 / (|H|^2 + b) ).
 
-Facts verified by the fuzz suites (all reduce to the adapted-frame reaction
-estimate plus elementary algebra):
+``batch_aux_f`` and ``batch_term_II`` take a stack of tensors ``(B, n, n, k)``
+like the kernels of :mod:`mcflow.curvature`; one tensor ``h`` is ``h[None]``.
+Facts verified by the fuzz suites of :mod:`mcflow.verify` (all reduce to the
+adapted-frame reaction estimate plus elementary algebra):
 
 * under the dimension-n pinching |h|^2 - |H|^2/(n-1) <= 2K with
-  n(n-1)(1-eps) >= 2, f <= 1;
+  n(n-1)(1-eps) >= 2, f <= 1 (the ``f-bound`` suite keeps only the cells
+  that meet this condition);
 * with b = 0 and |h|^2 <= (4/(3n)) |H|^2, II <= -4 n K f;
 * under the case-1 hypotheses (n = 4 with slack delta, or n >= 5), II <=
   -2 theta K f for theta = 2 eps small;
@@ -32,18 +35,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curvature import (
-    PointCurvature,
-    batch_reaction_terms,
-    batch_scalars,
-)
+from .curvature import batch_reaction_terms, batch_scalars
 from .errors import MinimalPointError
 
 __all__ = [
     "SphereAmbient",
-    "SphereAux",
-    "aux_f",
-    "term_II",
     "term_I_bound_check",
     "gradient_coefficient",
     "decay_bound",
@@ -66,16 +62,6 @@ class SphereAmbient:
     @property
     def K(self) -> float:
         return 1.0 / self.R_amb ** 2
-
-
-@dataclass(frozen=True)
-class SphereAux:
-    """The auxiliary ratio f = |h0|^2 / (|H|^2 + b) at a point, with its
-    eps and offset b; the reaction group is :func:`term_II`."""
-
-    eps: float
-    b: float
-    f: float
 
 
 def _offset(n: int, K: float, eps: float) -> float:
@@ -106,28 +92,6 @@ def batch_term_II(h: np.ndarray, amb: SphereAmbient, eps: float) -> np.ndarray:
     inner = (R1 - R2 / n - n * K * normh02
              - R2 * normh02 / denom - n * K * normh02 * normH2 / denom)
     return 2.0 / denom * inner
-
-
-def aux_f(pc: PointCurvature, amb: SphereAmbient, eps: float) -> SphereAux:
-    """The ratio f, with the f <= 1 guarantee asserted on its validity domain.
-
-    When the pinching |h|^2 - |H|^2/(n-1) <= 2K holds and n(n-1)(1-eps) >= 2
-    (every n >= 4 with small eps), f cannot exceed 1; violating that is an
-    internal error, not an input error.
-    """
-    n = pc.n
-    normH2, normh2, _ = (float(x[0]) for x in batch_scalars(pc.h[None]))
-    f = float(batch_aux_f(pc.h[None], amb, eps)[0])
-    b = _offset(n, amb.K, eps)
-    pinched = normh2 - normH2 / (n - 1) <= 2.0 * amb.K * (1.0 + 1e-12) if n >= 2 else False
-    if pinched and n * (n - 1) * (1.0 - eps) >= 2.0 and f > 1.0 + 1e-12:
-        raise AssertionError(f"f = {f} exceeds 1 under pinching (n={n}, eps={eps})")
-    return SphereAux(eps=eps, b=b, f=f)
-
-
-def term_II(pc: PointCurvature, amb: SphereAmbient, eps: float) -> float:
-    """Reaction group II at a point; MinimalPointError where |H| = 0 and b = 0."""
-    return float(batch_term_II(pc.h[None], amb, eps)[0])
 
 
 def gradient_coefficient(n: int) -> Fraction:

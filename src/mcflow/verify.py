@@ -6,16 +6,20 @@ sample, and reports one row per (dimension, codimension) cell:
     suite, n, k, samples, violations, worstMargin, seed
 
 ``worstMargin`` is the minimum over samples of the quantity that the claim
-requires to be nonnegative (or positive); a violation is a sample on the
-wrong side of the stated tolerance.  Cells whose hypothesis class is empty
-(e.g. |h|^2 - |H|^2/(n-1) <= -eps |H|^2 needs eps < 1/(n(n-1))) are skipped.
+requires to be nonnegative (or positive); a violation is a sample that is
+not on the right side of the stated tolerance, so a NaN margin (say, from
+reaction terms that overflow) is a violation and makes the worst margin NaN.
+A cell is skipped where its hypothesis class is empty (|h|^2 - |H|^2/(n-1)
+<= -eps |H|^2 needs eps < 1/(n(n-1)); |h|^2 <= c |H|^2 needs c > 1/n; the
+n = 4 case-1 cap needs delta <= 2) or where the claim is not made (f <= 1
+needs n(n-1)(1-eps) >= 2).
 
 The suites are the entries of ``_TABLE``: a cell builder (options -> (label,
 n, k, params)), a batch function ((rng, take, n, k, params) -> (margins,
-samples drawn)), the violation rule (margin < -tol, or <= -tol for a strict
-claim) and the least n of the claim.  One loop, ``_run``, draws each cell
-from its own generator, derived from the base seed, so a report is
-reproducible from its seed column alone.  A run with no cell, fewer samples
+samples drawn)), the violation rule (not margin >= -tol, or not margin >
+-tol for a strict claim) and the least n of the claim.  One loop, ``_run``,
+draws each cell from its own generator, derived from the base seed, so a
+report is reproducible from its seed column alone.  A run with no cell, fewer samples
 than cells, a smaller n or k < 1 raises ``ValueError`` before it samples.
 """
 
@@ -149,7 +153,8 @@ def _sphere_case2(rng, take, n, k, p):
 
 
 def _f_bound(rng, take, n, k, p):
-    """f <= 1 under the n >= 5 pinching |h|^2 - |H|^2/(n-1) <= 2K."""
+    """f <= 1 under the n >= 5 pinching |h|^2 - |H|^2/(n-1) <= 2K, where
+    n(n-1)(1-eps) >= 2."""
     K = p["amb"].K
     h = sampling.sphere_pinched_tensors(
         rng, take, n, k, lambda H2: H2 / (n * (n - 1)) + 2.0 * K)
@@ -174,15 +179,16 @@ def _reaction_cells(n, k, c=None, **_):
             if sampling.pinched_cap(d, cd) > 0]
 
 
-def _sphere_cells(label, dims):
-    """Cells of a spherical-background suite; ``label`` is formatted with the
-    cell's params.  The case-1 slack delta defaults to 0.1 at n = 4, else 0."""
+def _sphere_cells(label, dims, holds=lambda d, p: True):
+    """Cells of a spherical-background suite whose hypothesis ``holds``;
+    ``label`` is formatted with the cell's params.  The case-1 slack delta
+    defaults to 0.1 at n = 4, else 0."""
     def cells(n, k, eps=1e-3, delta=None, r_amb=1.0, **_):
         amb = SphereAmbient(r_amb)
         params = [(d, c, {"amb": amb, "eps": eps,
                           "delta": delta if delta is not None else (0.1 if d == 4 else 0.0)})
                   for d, c in _grid(n, k, dims)]
-        return [(label.format(**p), d, c, p) for d, c, p in params]
+        return [(label.format(**p), d, c, p) for d, c, p in params if holds(d, p)]
     return cells
 
 
@@ -191,8 +197,8 @@ class _Suite:
     cells: Callable[..., list]
     batch: Callable[..., tuple]
     least_n: int = 2
-    tol: Callable[[dict], float] = lambda p: 0.0    # a violation: margin < -tol,
-    strict: bool = False                             # or margin <= -tol if strict
+    tol: Callable[[dict], float] = lambda p: 0.0    # a violation: not margin >= -tol,
+    strict: bool = False                             # or not margin > -tol if strict
 
 
 _TABLE = {
@@ -203,12 +209,14 @@ _TABLE = {
     "adapted-r2": _Suite(lambda n, k, **_: [("adapted-r2", d, c, {})
                                             for d, c in _grid(n, k, range(2, 6))],
                          _adapted_r2),
-    "sphere-case1": _Suite(_sphere_cells("sphere-case1[delta={delta}]", [4, 5]), _sphere_case1,
-                           least_n=4, tol=lambda p: 1e-10 * p["amb"].K),
+    "sphere-case1": _Suite(_sphere_cells("sphere-case1[delta={delta}]", [4, 5],
+                                         lambda d, p: d != 4 or p["delta"] <= 2.0),
+                           _sphere_case1, least_n=4, tol=lambda p: 1e-10 * p["amb"].K),
     "sphere-case2": _Suite(_sphere_cells("sphere-case2", [2, 3, 4, 5]), _sphere_case2,
                            tol=lambda p: 1e-10 * p["amb"].K),
-    "f-bound": _Suite(_sphere_cells("f-bound", [5, 6]), _f_bound, least_n=5,
-                      tol=lambda p: 1e-12),
+    "f-bound": _Suite(_sphere_cells("f-bound", [5, 6],
+                                    lambda d, p: d * (d - 1) * (1.0 - p["eps"]) >= 2.0),
+                      _f_bound, least_n=5, tol=lambda p: 1e-12),
 }
 
 
@@ -238,11 +246,14 @@ def _run(name: str, samples: int, seed: int, **options) -> list[SuiteRow]:
         rng = sampling.generator(seed, _SUITE_IDS[name], dim, cod)
         tol = suite.tol(params)
         worst, bad, drawn = math.inf, 0, 0
-        for take in _batches(count):
-            margin, got = suite.batch(rng, take, dim, cod, params)
-            drawn += got
-            bad += int((margin <= -tol).sum() if suite.strict else (margin < -tol).sum())
-            worst = min(worst, float(margin.min()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for take in _batches(count):
+                margin, got = suite.batch(rng, take, dim, cod, params)
+                drawn += got
+                # a NaN margin fails both comparisons: it is a violation
+                ok = margin > -tol if suite.strict else margin >= -tol
+                bad += int((~ok).sum())
+                worst = float(np.minimum(worst, margin.min()))
         rows.append(SuiteRow(label, dim, cod, drawn, bad, worst, seed))
     return rows
 

@@ -16,7 +16,6 @@ import pytest
 
 from mcflow import (
     ParamGrid,
-    PointCurvature,
     SolutionSpec,
     FlowConfig,
     Trajectory,
@@ -24,13 +23,13 @@ from mcflow import (
     cap_extinction_time,
     cap_radius,
     cylinder_law,
-    normal_curvature,
     rescale_type1,
     run,
     seed_immersion,
     sphere_law,
     fsigma_integral,
 )
+from mcflow.curvature import batch_normal_curvature
 from mcflow.immersion import covariant_gradient_fields, geometry_fields, point_curvature_field
 from mcflow.verify import run_suite
 from conftest import cap_oracle_worst_error, ellipsoid_of_revolution
@@ -147,7 +146,8 @@ def test_criterion_04_exact_solution_regression():
     gf = geometry_fields(im)
     ratio_err = np.abs(gf.normh2 / gf.normH2 - 5.0 / 6.0).max()
     assert ratio_err <= 1e-3
-    rp = normal_curvature(PointCurvature(point_curvature_field(im, gf)[0][24, 53])).norm_sq
+    h = point_curvature_field(im, gf)[0][24, 53]
+    rp = float((batch_normal_curvature(h[None]) ** 2).sum())
     assert rp > 1.0   # analytic value 16/9 at unit image radius
     _report(4, f"exact-solution regression (Veronese ratio err {ratio_err:.1e}, "
                f"|Rperp|^2 = {rp:.4f})", time.perf_counter() - t0, 30)

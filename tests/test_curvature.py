@@ -12,100 +12,101 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mcflow import (
-    PinchSpec,
-    PointCurvature,
-    adapted_split,
-    cn,
-    gauss_operator,
-    normal_curvature,
-    pinch_Q,
-    pinching_pair_identity,
-    reaction_estimate_gap,
-    reaction_terms,
-    scalars,
-    traceless,
-)
+from mcflow import cn
 from mcflow.curvature import (
     _REACTION_BLOCK as BLOCK,
+    batch_adapted_split,
     batch_gauss_operator,
     batch_normal_curvature,
     batch_reaction_estimate_gap,
     batch_reaction_terms,
     batch_scalars,
+    batch_traceless,
 )
 from mcflow.errors import MinimalPointError
 from mcflow.sampling import (
     generator,
     pinched_tensors,
     random_rotations,
-    rotate_point,
     rotate_tensors,
     symmetric_tensors,
 )
+from mcflow.verify import _lemma31
 
 
 def sphere_point(n=2, k=1):
     """Round unit sphere: h = identity along the first normal."""
     h = np.zeros((n, n, k))
     h[:, :, 0] = np.eye(n)
-    return PointCurvature(h)
+    return h
 
 
 def cylinder_point():
-    return PointCurvature(np.diag([1.0, 0.0])[:, :, None])
+    return np.diag([1.0, 0.0])[:, :, None]
+
+
+def point_scalars(h):
+    """(|H|^2, |h|^2, |h0|^2) of one tensor, as row 0 of the batch kernel."""
+    return tuple(float(x[0]) for x in batch_scalars(h[None]))
+
+
+def point_reaction_terms(h):
+    """(R1, R2) of one tensor, as row 0 of the batch kernel."""
+    return tuple(float(x[0]) for x in batch_reaction_terms(h[None]))
+
+
+def operator_eigenvalues(h):
+    return np.linalg.eigvalsh(batch_gauss_operator(h[None])[0])
+
+
+def rperp_norm_sq(h):
+    return float((batch_normal_curvature(h[None]) ** 2).sum())
 
 
 class TestScalars:
     def test_round_sphere(self):
-        s = scalars(sphere_point())
-        assert s.normH2 == 4.0
-        assert s.normh2 == 2.0
-        assert s.normh02 == 0.0
-        assert s.scalar_curv == 2.0
-        assert s.ratio == 0.5
+        normH2, normh2, normh02 = point_scalars(sphere_point())
+        assert normH2 == 4.0
+        assert normh2 == 2.0
+        assert normh02 == 0.0
+        assert normH2 - normh2 == 2.0      # scalar curvature
+        assert normh2 / normH2 == 0.5
 
     def test_cylinder_point(self):
-        s = scalars(cylinder_point())
-        assert s.normH2 == 1.0
-        assert s.normh2 == 1.0
-        assert s.normh02 == 0.5
-        assert s.scalar_curv == 0.0
-        assert s.ratio == 1.0
+        normH2, normh2, normh02 = point_scalars(cylinder_point())
+        assert normH2 == 1.0
+        assert normh2 == 1.0
+        assert normh02 == 0.5
+        assert normH2 - normh2 == 0.0
+        assert normh2 / normH2 == 1.0
 
     def test_zero_tensor_has_undefined_ratio(self):
-        s = scalars(PointCurvature(np.zeros((3, 3, 2))))
-        assert s.normH2 == s.normh2 == s.scalar_curv == 0.0
-        assert s.ratio is None
+        normH2, normh2, _ = point_scalars(np.zeros((3, 3, 2)))
+        # |h|^2 / |H|^2 has a zero denominator
+        assert normH2 == normh2 == normH2 - normh2 == 0.0
 
     def test_traceless_split_is_exact(self, rng):
         h = symmetric_tensors(rng, 50, 3, 2)
         normH2, normh2, normh02 = batch_scalars(h)
         assert np.array_equal(normh02, normh2 - normH2 / 3)
 
-    def test_rejects_asymmetric_input(self):
-        h = np.zeros((2, 2, 1))
-        h[0, 1, 0] = 1.0
-        with pytest.raises(ValueError, match="symmetric"):
-            PointCurvature(h)
-
 
 class TestTraceless:
     def test_umbilic_maps_to_zero(self):
-        out = traceless(sphere_point(3))
-        assert np.all(out.h == 0.0)
+        out = batch_traceless(sphere_point(3)[None])[0]
+        assert np.all(out == 0.0)
 
     def test_cylinder_point(self):
-        out = traceless(cylinder_point())
-        assert np.allclose(out.h[:, :, 0], np.diag([0.5, -0.5]), atol=0)
+        out = batch_traceless(cylinder_point()[None])[0]
+        assert np.allclose(out[:, :, 0], np.diag([0.5, -0.5]), atol=0)
 
     def test_random_slices_have_zero_trace(self, rng):
         h = symmetric_tensors(rng, 100, 4, 3)
         for sample in h[:10]:
-            out = traceless(PointCurvature(sample))
+            out = batch_traceless(sample[None])[0]
             scale = max(1.0, np.abs(sample).max())
-            assert np.abs(np.trace(out.h)).max() <= 1e-12 * scale
-            back = out.h + np.eye(4)[:, :, None] * np.einsum("iia->a", sample) / 4
+            assert np.abs(np.trace(out)).max() <= 1e-12 * scale
+            back = out + np.eye(4)[:, :, None] * np.einsum("iia->a", sample) / 4
             assert np.abs(back - sample).max() <= 1e-15 * scale
 
 
@@ -119,11 +120,11 @@ class TestNormalCurvature:
         h = np.zeros((3, 3, 2))
         h[:, :, 0] = np.diag([1.0, 2.0, 3.0])
         h[:, :, 1] = np.diag([-1.0, 0.5, 2.0])
-        assert normal_curvature(PointCurvature(h)).norm_sq == 0.0
+        assert rperp_norm_sq(h) == 0.0
 
     def test_antisymmetries(self, rng):
-        h = symmetric_tensors(rng, 1, 4, 3)[0]
-        rp = normal_curvature(PointCurvature(h)).rperp
+        h = symmetric_tensors(rng, 1, 4, 3)
+        rp = batch_normal_curvature(h)[0]
         assert np.abs(rp + rp.transpose(1, 0, 2, 3)).max() == 0.0
         assert np.abs(rp + rp.transpose(0, 1, 3, 2)).max() == 0.0
 
@@ -138,14 +139,14 @@ class TestNormalCurvature:
 
 class TestGaussOperator:
     def test_round_sphere_is_identity_on_bivectors(self):
-        op = gauss_operator(sphere_point(3))
-        assert np.allclose(op.mat, np.eye(3), atol=1e-15)
-        assert op.min_eigenvalue() == pytest.approx(1.0)
+        mat = batch_gauss_operator(sphere_point(3)[None])[0]
+        assert np.allclose(mat, np.eye(3), atol=1e-15)
+        assert operator_eigenvalues(sphere_point(3))[0] == pytest.approx(1.0)
 
     def test_flat_cylinder_point(self):
-        op = gauss_operator(cylinder_point())
-        assert op.mat.shape == (1, 1)
-        assert op.mat[0, 0] == 0.0
+        mat = batch_gauss_operator(cylinder_point()[None])[0]
+        assert mat.shape == (1, 1)
+        assert mat[0, 0] == 0.0
 
     def test_trace_is_half_scalar_curvature(self, rng):
         h = symmetric_tensors(rng, 50, 4, 2)
@@ -156,9 +157,9 @@ class TestGaussOperator:
         assert np.abs(2 * tr - sc).max() <= 1e-12 * np.abs(sc).max()
 
     def test_space_form_shift(self):
-        op0 = gauss_operator(sphere_point(3), ambient_k=0.0)
-        op1 = gauss_operator(sphere_point(3), ambient_k=2.5)
-        assert np.allclose(op1.mat - op0.mat, 2.5 * np.eye(3))
+        op0 = batch_gauss_operator(sphere_point(3)[None], ambient_k=0.0)[0]
+        op1 = batch_gauss_operator(sphere_point(3)[None], ambient_k=2.5)[0]
+        assert np.allclose(op1 - op0, 2.5 * np.eye(3))
 
     def test_pinched_samples_have_pinched_operator(self, rng):
         # strict pinching below 1/(n-1) forces a positive operator gap
@@ -173,12 +174,12 @@ class TestGaussOperator:
 
 class TestReactionTerms:
     def test_round_sphere_values(self):
-        r1, r2 = reaction_terms(sphere_point())
+        r1, r2 = point_reaction_terms(sphere_point())
         assert (r1, r2) == (4.0, 8.0)
         assert r1 - (2.0 / 3.0) * r2 == pytest.approx(-4.0 / 3.0)
 
     def test_zero(self):
-        assert reaction_terms(PointCurvature(np.zeros((3, 3, 2)))) == (0.0, 0.0)
+        assert point_reaction_terms(np.zeros((3, 3, 2))) == (0.0, 0.0)
 
     def test_nonnegative(self, rng):
         r1, r2 = batch_reaction_terms(symmetric_tensors(rng, 500, 3, 3))
@@ -202,51 +203,32 @@ class TestReactionTerms:
             assert (r1 - c * r2).max() < 0.0
 
 
+def pinch_q(h, c):
+    """Q = |h|^2 - c |H|^2 of one tensor; negative Q certifies pinching."""
+    normH2, normh2, _ = point_scalars(h)
+    return normh2 - c * normH2
+
+
 class TestPinchQ:
     def test_unit_sphere(self):
-        q = pinch_Q(sphere_point(), PinchSpec(c=2.0 / 3.0))
-        assert q == pytest.approx(-2.0 / 3.0)
+        assert pinch_q(sphere_point(), 2.0 / 3.0) == pytest.approx(-2.0 / 3.0)
 
     def test_zero(self):
-        assert pinch_Q(PointCurvature(np.zeros((2, 2, 1))), PinchSpec(c=0.5)) == 0.0
+        assert pinch_q(np.zeros((2, 2, 1)), 0.5) == 0.0
 
     def test_quadratic_homogeneity(self, rng):
         h = symmetric_tensors(rng, 1, 3, 2)[0]
-        spec = PinchSpec(c=0.4)
-        q1 = pinch_Q(PointCurvature(h), spec)
-        q2 = pinch_Q(PointCurvature(2.0 * h), spec)
-        assert q2 == pytest.approx(4.0 * q1)
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            PinchSpec(c=0.0)
-        with pytest.raises(ValueError):
-            PinchSpec(c=1.0, a=-0.5)
+        assert pinch_q(2.0 * h, 0.4) == pytest.approx(4.0 * pinch_q(h, 0.4))
 
 
 class TestPairIdentity:
-    def test_identity_matrix(self):
-        lhs, rhs = pinching_pair_identity(np.eye(3), 1, 2)
-        assert lhs == pytest.approx(-1.5)
-        assert rhs == pytest.approx(-1.5)
-
-    def test_zero_matrix(self):
-        assert pinching_pair_identity(np.zeros((4, 4)), 0, 3) == (0.0, 0.0)
-
     def test_all_pairs_random(self, rng):
+        # the lemma31 suite's margin is 1e-10 (1 + |B|^2) - |lhs - rhs| over
+        # every eigenvalue pair of each drawn symmetric B
         for n in range(2, 9):
-            for _ in range(20):
-                a = rng.standard_normal((n, n))
-                b = (a + a.T) / 2
-                tol = 1e-10 * (1.0 + (b ** 2).sum())
-                for i1 in range(n):
-                    for i2 in range(i1 + 1, n):
-                        lhs, rhs = pinching_pair_identity(b, i1, i2)
-                        assert abs(lhs - rhs) <= tol
-
-    def test_rejects_equal_indices(self):
-        with pytest.raises(ValueError):
-            pinching_pair_identity(np.eye(2), 0, 0)
+            margins, drawn = _lemma31(rng, 20, n, 0, {})
+            assert drawn == 20 and margins.shape == (n * (n - 1) // 2, 20)
+            assert (margins >= 0.0).all()
 
     def test_corollary_sign_definiteness(self, rng):
         # rejection sampling: |B|^2 <= tr(B)^2/(n-1) with tr > 0 forces B >= 0
@@ -282,22 +264,21 @@ class TestAdaptedSplit:
         h = symmetric_tensors(rng, 1, 3, 1)[0]
         if np.einsum("iia->a", h)[0] == 0:
             h[0, 0, 0] += 1.0
-        out = adapted_split(PointCurvature(h))
-        assert abs(out.normhminsq) <= 1e-12 * max(1.0, (h ** 2).sum())
+        _, _, hm = batch_adapted_split(h[None])
+        assert abs(hm[0]) <= 1e-12 * max(1.0, (h ** 2).sum())
 
     def test_umbilic(self):
-        out = adapted_split(sphere_point(2, 3))
-        assert out.normH == 2.0
-        assert out.normh01sq == pytest.approx(0.0, abs=1e-14)
-        assert out.normhminsq == pytest.approx(0.0, abs=1e-14)
+        normH, h01sq, hmsq = (x[0] for x in batch_adapted_split(sphere_point(2, 3)[None]))
+        assert normH == 2.0
+        assert h01sq == pytest.approx(0.0, abs=1e-14)
+        assert hmsq == pytest.approx(0.0, abs=1e-14)
 
     def test_minimal_point_rejected(self):
         with pytest.raises(MinimalPointError):
-            adapted_split(PointCurvature(np.zeros((2, 2, 2))))
+            batch_adapted_split(np.zeros((1, 2, 2, 2)))
 
     def test_split_sums_to_traceless_norm(self, rng):
         h = symmetric_tensors(rng, 40, 3, 4)
-        from mcflow.curvature import batch_adapted_split
         _, h01, hm = batch_adapted_split(h)
         _, _, h02 = batch_scalars(h)
         assert np.abs((h01 + hm) - h02).max() <= 1e-12 * max(1.0, h02.max())
@@ -305,7 +286,8 @@ class TestAdaptedSplit:
 
 class TestReactionEstimateGap:
     def test_umbilic_gap_is_zero(self):
-        assert reaction_estimate_gap(sphere_point()) == pytest.approx(0.0, abs=1e-14)
+        gap = batch_reaction_estimate_gap(sphere_point()[None])[0]
+        assert gap == pytest.approx(0.0, abs=1e-14)
 
     def test_codimension_one_is_equality(self, rng):
         h = symmetric_tensors(rng, 3000, 3, 1)
@@ -335,54 +317,39 @@ class TestFrameInvariance:
     def test_rotation_invariance_of_scalars(self, seed):
         rng = generator(seed, 99)
         n, k = int(rng.integers(2, 5)), int(rng.integers(1, 4))
-        h = symmetric_tensors(rng, 1, n, k)[0]
-        pc = PointCurvature(h)
-        o_tan = random_rotations(rng, 1, n)[0]
-        o_nor = random_rotations(rng, 1, k)[0]
-        rot = rotate_point(pc, o_tan, o_nor)
-
-        s0, s1 = scalars(pc), scalars(rot)
-        ref = max(1.0, s0.normh2)
-        assert abs(s0.normH2 - s1.normH2) <= 1e-10 * ref
-        assert abs(s0.normh2 - s1.normh2) <= 1e-10 * ref
-        r0, r2_0 = reaction_terms(pc)
-        r1, r2_1 = reaction_terms(rot)
-        assert abs(r0 - r1) <= 1e-10 * max(1.0, abs(r0))
-        assert abs(r2_0 - r2_1) <= 1e-10 * max(1.0, abs(r2_0))
-        e0 = gauss_operator(pc).eigenvalues()
-        e1 = gauss_operator(rot).eigenvalues()
-        assert np.abs(e0 - e1).max() <= 1e-10 * max(1.0, np.abs(e0).max())
-        assert abs(normal_curvature(pc).norm_sq - normal_curvature(rot).norm_sq) \
-            <= 1e-10 * max(1.0, normal_curvature(pc).norm_sq)
-
-    @pytest.mark.parametrize("n,k", [(2, 2), (3, 3), (4, 2), (3, 4)])
-    def test_rotate_point_matches_rotate_tensors(self, n, k):
-        # one convention for both: h'_{ijb} = O_ip O_jq U_ab h_{pqa}
-        rng = generator(18, n, k)
         h = symmetric_tensors(rng, 1, n, k)
         o_tan, o_nor = random_rotations(rng, 1, n), random_rotations(rng, 1, k)
-        batch = rotate_tensors(h, o_tan, o_nor)[0]
-        point = rotate_point(PointCurvature(h[0]), o_tan[0], o_nor[0]).h
-        assert np.abs(point - batch).max() <= 1e-14 * max(1.0, np.abs(batch).max())
+        h, rot = h[0], rotate_tensors(h, o_tan, o_nor)[0]
+
+        (H0, n0, _), (H1, n1, _) = point_scalars(h), point_scalars(rot)
+        ref = max(1.0, n0)
+        assert abs(H0 - H1) <= 1e-10 * ref
+        assert abs(n0 - n1) <= 1e-10 * ref
+        r0, r2_0 = point_reaction_terms(h)
+        r1, r2_1 = point_reaction_terms(rot)
+        assert abs(r0 - r1) <= 1e-10 * max(1.0, abs(r0))
+        assert abs(r2_0 - r2_1) <= 1e-10 * max(1.0, abs(r2_0))
+        e0, e1 = operator_eigenvalues(h), operator_eigenvalues(rot)
+        assert np.abs(e0 - e1).max() <= 1e-10 * max(1.0, np.abs(e0).max())
+        assert abs(rperp_norm_sq(h) - rperp_norm_sq(rot)) <= 1e-10 * max(1.0, rperp_norm_sq(h))
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(0.1, 10.0), st.integers(0, 10_000))
     def test_scaling_degrees(self, lam, seed):
         rng = generator(seed, 98)
         h = symmetric_tensors(rng, 1, 3, 2)[0]
-        pc, scaled = PointCurvature(h), PointCurvature(lam * h)
-        s0, s1 = scalars(pc), scalars(scaled)
-        assert s1.normh2 == pytest.approx(lam ** 2 * s0.normh2, rel=1e-12)
-        assert s1.normH2 == pytest.approx(lam ** 2 * s0.normH2, rel=1e-12)
-        assert s1.scalar_curv == pytest.approx(lam ** 2 * s0.scalar_curv, rel=1e-9)
-        if s0.ratio is not None:
-            assert s1.ratio == pytest.approx(s0.ratio, rel=1e-12)
-        r10, r20 = reaction_terms(pc)
-        r11, r21 = reaction_terms(scaled)
+        scaled = lam * h
+        (H0, n0, _), (H1, n1, _) = point_scalars(h), point_scalars(scaled)
+        assert n1 == pytest.approx(lam ** 2 * n0, rel=1e-12)
+        assert H1 == pytest.approx(lam ** 2 * H0, rel=1e-12)
+        assert H1 - n1 == pytest.approx(lam ** 2 * (H0 - n0), rel=1e-9)   # scalar curvature
+        if H0 > 0:
+            assert n1 / H1 == pytest.approx(n0 / H0, rel=1e-12)
+        r10, r20 = point_reaction_terms(h)
+        r11, r21 = point_reaction_terms(scaled)
         assert r11 == pytest.approx(lam ** 4 * r10, rel=1e-12)
         assert r21 == pytest.approx(lam ** 4 * r20, rel=1e-12)
-        e0 = gauss_operator(pc).eigenvalues()
-        e1 = gauss_operator(scaled).eigenvalues()
+        e0, e1 = operator_eigenvalues(h), operator_eigenvalues(scaled)
         assert np.allclose(e1, lam ** 2 * e0, rtol=1e-10, atol=1e-12)
         # the sign of R1 - c R2 is scale invariant
         c = 0.37
@@ -469,7 +436,7 @@ class TestBatchKernels:
 
     def test_reaction_terms_blocks_match_pointwise(self, stack):
         R1, R2 = batch_reaction_terms(stack)
-        point = np.array([reaction_terms(PointCurvature(h)) for h in stack])
+        point = np.array([point_reaction_terms(h) for h in stack])
         assert np.array_equal(R1, point[:, 0]) and np.array_equal(R2, point[:, 1])
 
     # one sample; three slices that start inside the first block, so their

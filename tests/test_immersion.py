@@ -10,14 +10,11 @@ from mcflow import (
     DegenerateGeometryError,
     DiscreteImmersion,
     ParamGrid,
-    PointCurvature,
     SolutionSpec,
     integrate,
     load_snapshot,
-    normal_curvature,
     normal_frame,
     save_snapshot,
-    scalars,
     seed_immersion,
 )
 from mcflow.curvature import batch_normal_curvature, batch_reaction_terms, batch_scalars
@@ -182,7 +179,8 @@ class TestSecondFundamentalForm:
         im = unit_sphere((64, 128))
         h = point_curvature_field(im)[0][10, 20]
         assert np.abs(np.abs(h[:, :, 0]) - np.eye(2)).max() <= 1e-6
-        assert scalars(PointCurvature(h)).ratio == pytest.approx(0.5, abs=1e-3)
+        normH2, normh2, _ = batch_scalars(h[None])
+        assert normh2[0] / normH2[0] == pytest.approx(0.5, abs=1e-3)
 
     def test_circle_mean_curvature(self):
         im = circle(res=512, radius=2.0)
@@ -201,8 +199,8 @@ class TestSecondFundamentalForm:
         gf = geometry_fields(im)
         ratio = gf.normh2 / gf.normH2
         assert np.abs(ratio - 5.0 / 6.0).max() <= 1e-3
-        pc = PointCurvature(point_curvature_field(im, gf)[0][20, 31])
-        assert normal_curvature(pc).norm_sq == pytest.approx(16.0 / 9.0, abs=1e-3)
+        h = point_curvature_field(im, gf)[0][20, 31]
+        assert rperp_norm_sq(h)[0] == pytest.approx(16.0 / 9.0, abs=1e-3)
 
 
 def rperp_norm_sq(h):

@@ -9,13 +9,10 @@ import pytest
 
 from mcflow import (
     MinimalPointError,
-    PointCurvature,
     SphereAmbient,
-    aux_f,
     decay_bound,
     gradient_coefficient,
     term_I_bound_check,
-    term_II,
 )
 from mcflow.curvature import batch_reaction_terms, batch_scalars
 from mcflow.sampling import generator, sphere_pinched_tensors, symmetric_tensors
@@ -26,7 +23,17 @@ from mcflow.verify import run_suite
 def umbilic(n=3, k=2, scale=1.0):
     h = np.zeros((n, n, k))
     h[:, :, 0] = scale * np.eye(n)
-    return PointCurvature(h)
+    return h
+
+
+def point_f(h, amb, eps):
+    """f of one tensor, as row 0 of the batch kernel."""
+    return float(batch_aux_f(h[None], amb, eps)[0])
+
+
+def point_term_II(h, amb, eps):
+    """II of one tensor, as row 0 of the batch kernel."""
+    return float(batch_term_II(h[None], amb, eps)[0])
 
 
 class TestSphereAmbient:
@@ -47,18 +54,19 @@ class TestSphereAmbient:
 
 class TestAuxF:
     def test_umbilic_gives_zero(self):
-        out = aux_f(umbilic(), SphereAmbient(1.0), 1e-3)
-        assert out.f == 0.0
-        assert out.b == pytest.approx((1 - 1e-3) * 6.0)
+        assert point_f(umbilic(), SphereAmbient(1.0), 1e-3) == 0.0
+        # a traceless tensor with |h0|^2 = 1 has f = 1 / b
+        h = np.zeros((3, 3, 2))
+        h[0, 0, 0], h[1, 1, 0] = math.sqrt(0.5), -math.sqrt(0.5)
+        assert 1.0 / point_f(h, SphereAmbient(1.0), 1e-3) == pytest.approx((1 - 1e-3) * 6.0)
 
     def test_minimal_point_gives_zero(self):
-        out = aux_f(PointCurvature(np.zeros((4, 4, 2))), SphereAmbient(1.0), 1e-3)
-        assert out.f == 0.0
+        assert point_f(np.zeros((4, 4, 2)), SphereAmbient(1.0), 1e-3) == 0.0
 
     def test_zero_denominator_rejected(self):
         # eps = 1 makes b = 0; with H = 0 the ratio is undefined
         with pytest.raises(MinimalPointError):
-            aux_f(PointCurvature(np.zeros((4, 4, 2))), SphereAmbient(1.0), 1.0)
+            point_f(np.zeros((4, 4, 2)), SphereAmbient(1.0), 1.0)
 
     def test_f_bounded_by_one_under_pinching(self):
         rng = generator(7, 1)
@@ -74,17 +82,17 @@ class TestAuxF:
         rng = generator(7, 2)
         h = symmetric_tensors(rng, 1, 4, 2)[0]
         lam = 3.7
-        f1 = aux_f(PointCurvature(h), SphereAmbient(1.0), 1e-3).f
-        f2 = aux_f(PointCurvature(lam * h), SphereAmbient(1.0 / lam), 1e-3).f
+        f1 = point_f(h, SphereAmbient(1.0), 1e-3)
+        f2 = point_f(lam * h, SphereAmbient(1.0 / lam), 1e-3)
         assert f2 == pytest.approx(f1, rel=1e-12)
 
 
 class TestTermII:
     def test_umbilic_vanishes(self):
-        assert term_II(umbilic(), SphereAmbient(1.0), 1e-3) == pytest.approx(0.0, abs=1e-14)
+        assert point_term_II(umbilic(), SphereAmbient(1.0), 1e-3) == pytest.approx(0.0, abs=1e-14)
 
     def test_zero_tensor_vanishes(self):
-        out = term_II(PointCurvature(np.zeros((3, 3, 1))), SphereAmbient(1.0), 1e-3)
+        out = point_term_II(np.zeros((3, 3, 1)), SphereAmbient(1.0), 1e-3)
         assert out == 0.0
 
     def test_two_way_assembly_agreement(self):
@@ -125,7 +133,7 @@ def case1_margin(h, amb, eps, theta):
 
 class TestCase1:
     def test_umbilic_margin_zero(self):
-        m = case1_margin(umbilic(4, 2).h[None], SphereAmbient(1.0), 1e-3, 2e-3)
+        m = case1_margin(umbilic(4, 2)[None], SphereAmbient(1.0), 1e-3, 2e-3)
         assert m[0] == pytest.approx(0.0, abs=1e-14)
 
     def test_rejects_low_dimension(self):

@@ -32,6 +32,12 @@ class TestSuites:
         b = run_suite("reaction", 3000, seed=5)
         assert [r.worst_margin for r in a] == [r.worst_margin for r in b]
 
+    def test_f_bound_keeps_only_cells_of_its_claim(self):
+        # n(n-1)(1-eps) >= 2 holds at n = 6 for eps = 0.93, not at n = 5
+        rows = run_suite("f-bound", 200, seed=3, eps=0.93)
+        assert {r.n for r in rows} == {6}
+        assert sum(r.violations for r in rows) == 0
+
     def test_operator_pinch_skips_infeasible_cells(self):
         rows = run_suite("operator-pinch", 1000, seed=3)
         # eps = 0.1 requires eps < 1/(n(n-1)): only n = 2, 3 qualify
@@ -239,6 +245,8 @@ class TestCliVerify:
         ("--suite", "lemma31", "--samples", "100", "--out", "{tmp}/missing/r.csv"),
         ("--suite", "sphere-case1", "--r-amb", "1e300"),  # K = 1/R^2 underflows
         ("--suite", "f-bound", "--r-amb", "1e-300"),      # K overflows
+        ("--suite", "sphere-case1", "--n", "4", "--delta", "3"),  # n = 4 cap < 0: no cell
+        ("--suite", "f-bound", "--eps", "0.95"),          # n(n-1)(1-eps) < 2: no cell
     ])
     def test_meaningless_run_is_usage_error(self, tmp_path, capsys, argv):
         rep = tmp_path / "r.csv"
@@ -248,6 +256,20 @@ class TestCliVerify:
         assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
         assert captured.out == ""
         assert not rep.exists()
+
+    def test_nan_margin_is_a_violation(self, tmp_path, capsys):
+        # c = 1e300 lets R1 and R2 overflow, so every margin c R2 - R1 is NaN;
+        # raised as errors, numpy warnings that reached the run would end it
+        rep = tmp_path / "r.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli("verify", "--suite", "reaction", "--c", "1e300",
+                           "--samples", "200", "--out", str(rep))
+        assert code == 1
+        assert capsys.readouterr().err == ""
+        rows = list(csv.DictReader(rep.open()))
+        assert len(rows) == 12
+        assert all(r["worstMargin"] == "nan" and int(r["violations"]) > 0 for r in rows)
 
     def test_all_suites_in_one_report(self, tmp_path):
         rep = tmp_path / "all.csv"
