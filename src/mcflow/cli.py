@@ -293,9 +293,10 @@ def cmd_verify(args) -> int:
 
     n, k, c, eps, delta and r_amb narrow or parametrise the suite's cells; a
     run that would mean nothing (too few samples, n or k out of range, an
-    option that is not finite) or could not write its report (``--out`` in a
-    directory that does not exist) is a usage error, raised before any sample
-    is drawn."""
+    option that is not finite, an option the named suite does not read) or
+    could not write its report (``--out`` in a directory that does not exist)
+    is a usage error, raised before any sample is drawn.  ``--suite all``
+    gives each suite only the options it reads."""
     suite = _resolve(args, "suite", None, str)
     started = time.time()
     try:

@@ -149,15 +149,20 @@ def batch_reaction_terms(h: np.ndarray):
 
 
 def batch_gauss_operator(h: np.ndarray, ambient_k: float = 0.0) -> np.ndarray:
-    """Curvature operator matrices, shape (B, N, N) with N = n(n-1)/2."""
+    """Curvature operator matrices, shape (B, N, N) with N = n(n-1)/2.
+
+    Only the N x N entries on bivector pairs are computed: row p = (i, j),
+    i < j in lexicographic order, is R_ij(kl) = sum_a h_ika h_jla - h_jka h_ila
+    over the columns (k, l), one two-operand product per term.
+    """
     n = h.shape[1]
-    r = np.einsum("bika,bjla->bijkl", h, h)
-    rfull = r - r.transpose(0, 2, 1, 3, 4)
     pairs = list(itertools.combinations(range(n), 2))  # lexicographic, i < j
     ii = np.array([p[0] for p in pairs])
     jj = np.array([p[1] for p in pairs])
-    # mat[b, p, q] = R[b, i_p, j_p, i_q, j_q]
-    mat = rfull[:, ii[:, None], jj[:, None], ii[None, :], jj[None, :]]
+    mat = np.empty((h.shape[0], len(pairs), len(pairs)))
+    for p, (i, j) in enumerate(pairs):
+        mat[:, p] = (np.einsum("bqa,bqa->bq", h[:, i, ii], h[:, j, jj])
+                     - np.einsum("bqa,bqa->bq", h[:, j, ii], h[:, i, jj]))
     if ambient_k != 0.0:
         mat = mat + ambient_k * np.eye(len(pairs))[None]
     return mat

@@ -8,6 +8,10 @@ the raw normal distribution is hopeless here: strong pinching confines |h0|^2
 to a sliver whose acceptance probability is effectively zero for the sample
 counts the suites need.
 
+Plain and pinched batches are built in place, in the array the generator
+fills: no step makes a second array of the batch's size, so a batch's peak
+memory is about its own size.
+
 All samplers take an explicit ``numpy.random.Generator``; suites derive their
 generators from a recorded base seed so every report is reproducible.
 """
@@ -35,11 +39,21 @@ def generator(seed: int, *subkeys: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+# samples per block of the in-place symmetrisation
+_BLOCK = 1024
+
+
 def symmetric_tensors(rng: np.random.Generator, count: int, n: int, k: int) -> np.ndarray:
-    """i.i.d. standard normal entries, symmetrised in (i, j); shape (count, n, n, k)."""
-    a = rng.standard_normal((count, n, n, k))
-    h = a + a.transpose(0, 2, 1, 3)
-    h /= 2.0
+    """i.i.d. standard normal entries, symmetrised in (i, j); shape (count, n, n, k).
+
+    The draw is symmetrised in place, in the array the generator fills, one
+    block of samples at a time: each entry becomes (a_ij + a_ji) / 2, and
+    the only temporary is one block's a + a^T.
+    """
+    h = rng.standard_normal((count, n, n, k))
+    for start in range(0, count, _BLOCK):
+        b = h[start:start + _BLOCK]
+        np.divide(b + b.transpose(0, 2, 1, 3), 2.0, out=b)
     return h
 
 
@@ -71,23 +85,30 @@ def pinched_tensors(rng: np.random.Generator, count: int, n: int, k: int,
             f"pinching |h|^2 <= {ratio_bound} |H|^2 is infeasible for n={n} "
             f"(requires ratio_bound > 1/n)"
         )
-    # h0 and then h are built in place; each step is the same elementwise
-    # arithmetic as batch_traceless and h0 * scale + eye * hvec / n, done on
-    # the diagonal only, where the identity is nonzero
-    d = np.arange(n)
+    # h0, then h, is the generator's array, updated on one diagonal entry
+    # (a basic slice) at a time: the same elementwise arithmetic as
+    # batch_traceless and h0 * scale + eye * hvec / n, where the identity is
+    # nonzero.  scale and hvec are built in place in u and hdir.
     h0 = symmetric_tensors(rng, count, n, k)
-    h0[:, d, d, :] -= batch_mean_vector(h0)[:, None, :] / n
+    mean = batch_mean_vector(h0) / n
+    for i in range(n):
+        h0[:, i, i, :] -= mean
+    del mean    # freed before the side arrays are drawn: it is (count, k)
     hmag = _magnitudes(rng, count)
     hdir = rng.standard_normal((count, k))
     hdir /= np.linalg.norm(hdir, axis=1, keepdims=True)
     u = rng.uniform(0.0, 1.0, count)
     h0n = np.sqrt(np.einsum("bija,bija->b", h0, h0))
     h0n[h0n == 0] = 1.0
-    scale = np.sqrt(u * cap) * hmag / h0n
-    hvec = hdir * hmag[:, None]
+    scale = np.sqrt(np.multiply(u, cap, out=u), out=u)
+    scale *= hmag
+    scale /= h0n
+    hvec = np.multiply(hdir, hmag[:, None], out=hdir)
+    hvec /= n
     h = h0
     h *= scale[:, None, None, None]
-    h[:, d, d, :] += hvec[:, None, :] / n
+    for i in range(n):
+        h[:, i, i, :] += hvec
     normh2 = np.einsum("bija,bija->b", h, h)
     hv = batch_mean_vector(h)
     normH2 = np.einsum("ba,ba->b", hv, hv)

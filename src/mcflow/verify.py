@@ -16,11 +16,13 @@ needs n(n-1)(1-eps) >= 2).
 
 The suites are the entries of ``_TABLE``: a cell builder (options -> (label,
 n, k, params)), a batch function ((rng, take, n, k, params) -> (margins,
-samples drawn)), the violation rule (not margin >= -tol, or not margin >
--tol for a strict claim) and the least n of the claim.  One loop, ``_run``,
-draws each cell from its own generator, derived from the base seed, so a
-report is reproducible from its seed column alone.  A run with no cell, fewer samples
-than cells, a smaller n or k < 1 raises ``ValueError`` before it samples.
+samples drawn)), the options the claim reads, the violation rule (not
+margin >= -tol, or not margin > -tol for a strict claim) and the least n of
+the claim.  One loop, ``_run``, draws each cell from its own generator,
+derived from the base seed, so a report is reproducible from its seed column
+alone.  A run with an option its suite does not read, no cell, fewer samples
+than cells, a smaller n or k < 1 raises ``ValueError`` before it samples;
+``run_suite("all", ...)`` gives each suite only the options it reads.
 """
 
 from __future__ import annotations
@@ -163,14 +165,14 @@ def _f_bound(rng, take, n, k, p):
 
 # cell builders: options -> [(label, n, k, params)]
 
-def _operator_pinch_cells(n, k, eps=None, **_):
+def _operator_pinch_cells(n=None, k=None, eps=None):
     eps_grid = [eps] if eps is not None else [0.01, 0.1]
     return [(f"operator-pinch[eps={e}]", d, c, {"eps": e})
             for d, c in _grid(n, k, range(2, 7)) for e in eps_grid
             if sampling.pinched_cap(d, 1.0 / (d - 1) - e) > 0]
 
 
-def _reaction_cells(n, k, c=None, **_):
+def _reaction_cells(n=None, k=None, c=None):
     """Default c = 4/(3n) - 0.01.  Unpinchable c (<= 1/n) makes a cell empty;
     c beyond 4/(3n) is allowed and will generally produce violations."""
     cells = [(d, cod, c if c is not None else 4.0 / (3.0 * d) - 0.01)
@@ -182,11 +184,11 @@ def _reaction_cells(n, k, c=None, **_):
 def _sphere_cells(label, dims, holds=lambda d, p: True):
     """Cells of a spherical-background suite whose hypothesis ``holds``;
     ``label`` is formatted with the cell's params.  The case-1 slack delta
-    defaults to 0.1 at n = 4, else 0."""
-    def cells(n, k, eps=1e-3, delta=None, r_amb=1.0, **_):
+    (0.1 by default) is read at n = 4 only; every other cell has delta 0."""
+    def cells(n=None, k=None, eps=1e-3, delta=None, r_amb=1.0):
         amb = SphereAmbient(r_amb)
         params = [(d, c, {"amb": amb, "eps": eps,
-                          "delta": delta if delta is not None else (0.1 if d == 4 else 0.0)})
+                          "delta": (delta if delta is not None else 0.1) if d == 4 else 0.0})
                   for d, c in _grid(n, k, dims)]
         return [(label.format(**p), d, c, p) for d, c, p in params if holds(d, p)]
     return cells
@@ -196,38 +198,47 @@ def _sphere_cells(label, dims, holds=lambda d, p: True):
 class _Suite:
     cells: Callable[..., list]
     batch: Callable[..., tuple]
+    reads: tuple = ("n", "k")                       # the options its claim reads
     least_n: int = 2
     tol: Callable[[dict], float] = lambda p: 0.0    # a violation: not margin >= -tol,
     strict: bool = False                             # or not margin > -tol if strict
 
 
 _TABLE = {
-    "lemma31": _Suite(lambda n, k, **_: [("lemma31", d, c, {})
-                                         for d, c in _grid(n, 0, range(2, 9))], _lemma31),
-    "operator-pinch": _Suite(_operator_pinch_cells, _operator_pinch),
-    "reaction": _Suite(_reaction_cells, _reaction, strict=True),
-    "adapted-r2": _Suite(lambda n, k, **_: [("adapted-r2", d, c, {})
-                                            for d, c in _grid(n, k, range(2, 6))],
+    "lemma31": _Suite(lambda n=None: [("lemma31", d, c, {})
+                                      for d, c in _grid(n, 0, range(2, 9))], _lemma31,
+                      reads=("n",)),
+    "operator-pinch": _Suite(_operator_pinch_cells, _operator_pinch, reads=("n", "k", "eps")),
+    "reaction": _Suite(_reaction_cells, _reaction, reads=("n", "k", "c"), strict=True),
+    "adapted-r2": _Suite(lambda n=None, k=None: [("adapted-r2", d, c, {})
+                                                 for d, c in _grid(n, k, range(2, 6))],
                          _adapted_r2),
     "sphere-case1": _Suite(_sphere_cells("sphere-case1[delta={delta}]", [4, 5],
                                          lambda d, p: d != 4 or p["delta"] <= 2.0),
-                           _sphere_case1, least_n=4, tol=lambda p: 1e-10 * p["amb"].K),
+                           _sphere_case1, reads=("n", "k", "eps", "delta", "r_amb"),
+                           least_n=4, tol=lambda p: 1e-10 * p["amb"].K),
     "sphere-case2": _Suite(_sphere_cells("sphere-case2", [2, 3, 4, 5]), _sphere_case2,
-                           tol=lambda p: 1e-10 * p["amb"].K),
+                           reads=("n", "k", "r_amb"), tol=lambda p: 1e-10 * p["amb"].K),
     "f-bound": _Suite(_sphere_cells("f-bound", [5, 6],
                                     lambda d, p: d * (d - 1) * (1.0 - p["eps"]) >= 2.0),
-                      _f_bound, least_n=5, tol=lambda p: 1e-12),
+                      _f_bound, reads=("n", "k", "eps", "r_amb"),
+                      least_n=5, tol=lambda p: 1e-12),
 }
 
 
-def _cells(name: str, samples: int, n=None, k=None, **options) -> list[tuple]:
+def _cells(name: str, samples: int, **options) -> list[tuple]:
     """The cells of one suite, once the run is known to mean something."""
-    least = _TABLE[name].least_n
-    if n is not None and n < least:
-        raise ValueError(f"{name} is only claimed for n >= {least}; got n={n}")
+    suite = _TABLE[name]
+    unread = [key for key in options if key not in suite.reads]
+    if unread:
+        raise ValueError(f"{name} does not read {', '.join(unread)}; "
+                         f"it reads {', '.join(suite.reads)}")
+    n, k = options.get("n"), options.get("k")
+    if n is not None and n < suite.least_n:
+        raise ValueError(f"{name} is only claimed for n >= {suite.least_n}; got n={n}")
     if k is not None and k < 1:
         raise ValueError(f"k must be >= 1; got k={k}")
-    cells = _TABLE[name].cells(n, k, **options)
+    cells = suite.cells(**options)
     if not cells:
         raise ValueError(f"{name} has no cell whose hypothesis holds for these options")
     if samples < len(cells):
@@ -263,14 +274,17 @@ SUITES = {name: functools.partial(_run, name) for name in _TABLE}
 
 def run_suite(name: str, samples: int, seed: int, **kwargs) -> list[SuiteRow]:
     """Run one named suite (or every suite for name == 'all'); every suite's
-    options are checked before any of them runs."""
+    options are checked before any of them runs.  A suite named alone refuses
+    an option its claim does not read; 'all' gives each suite only the
+    options it reads."""
     if name != "all" and name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; expected one of "
                        f"{', '.join([*SUITES, 'all'])}")
-    names = list(SUITES) if name == "all" else [name]
-    for sub in names:
-        _cells(sub, samples, **kwargs)
-    return [row for sub in names for row in SUITES[sub](samples, seed, **kwargs)]
+    runs = [(sub, {key: val for key, val in kwargs.items() if key in _TABLE[sub].reads})
+            for sub in SUITES] if name == "all" else [(name, kwargs)]
+    for sub, options in runs:
+        _cells(sub, samples, **options)
+    return [row for sub, options in runs for row in SUITES[sub](samples, seed, **options)]
 
 
 def write_report(rows: list[SuiteRow], path) -> None:

@@ -462,3 +462,20 @@ class TestBatchKernels:
                      - np.einsum("bjka,bila->bijkl", h, h))
             want = rfull[:, ii, jj, ii.T, jj.T]
             assert np.array_equal(batch_gauss_operator(h), want), (n, k)
+
+    @pytest.mark.parametrize("count", [1, 7, 400])
+    @pytest.mark.parametrize("ambient_k", [0.0, 0.3])
+    def test_gauss_operator_matches_full_tensor(self, ambient_k, count):
+        # the full (B, n, n, n, n) tensor, less its (i, j) transpose, gathered
+        # on the bivector pairs and shifted by K on the diagonal
+        for n in range(2, 7):
+            pairs = list(itertools.combinations(range(n), 2))
+            ii = np.array([p[0] for p in pairs])[:, None]
+            jj = np.array([p[1] for p in pairs])[:, None]
+            for k in range(1, 5):
+                h = symmetric_tensors(generator(35, n, k), count, n, k)
+                r = np.einsum("bika,bjla->bijkl", h, h)
+                want = (r - r.transpose(0, 2, 1, 3, 4))[:, ii, jj, ii.T, jj.T]
+                if ambient_k != 0.0:
+                    want = want + ambient_k * np.eye(len(pairs))[None]
+                assert np.array_equal(batch_gauss_operator(h, ambient_k), want), (n, k)

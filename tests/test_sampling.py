@@ -1,10 +1,13 @@
 """Seeded samplers: constraint satisfaction and reproducibility."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mcflow.curvature import batch_mean_vector, batch_scalars, batch_traceless
 from mcflow.sampling import (
+    _BLOCK as BLOCK,
     generator,
     pinched_cap,
     pinched_tensors,
@@ -80,21 +83,83 @@ def reference_pinched(rng, count, n, k, ratio_bound):
     return h[keep]
 
 
+def fancy_index_pinched(rng, count, n, k, ratio_bound):
+    """pinched_tensors with the diagonal gathered and scattered through
+    fancy indexing, each step making a (count, n, k) copy."""
+    cap = pinched_cap(n, ratio_bound)
+    d = np.arange(n)
+    h0 = reference_symmetric(rng, count, n, k)
+    h0[:, d, d, :] -= batch_mean_vector(h0)[:, None, :] / n
+    hmag = np.exp(rng.normal(0.0, 0.5, count))
+    hdir = rng.standard_normal((count, k))
+    hdir /= np.linalg.norm(hdir, axis=1, keepdims=True)
+    u = rng.uniform(0.0, 1.0, count)
+    h0n = np.sqrt(np.einsum("bija,bija->b", h0, h0))
+    h0n[h0n == 0] = 1.0
+    scale = np.sqrt(u * cap) * hmag / h0n
+    hvec = hdir * hmag[:, None]
+    h = h0
+    h *= scale[:, None, None, None]
+    h[:, d, d, :] += hvec[:, None, :] / n
+    normh2 = np.einsum("bija,bija->b", h, h)
+    hv = batch_mean_vector(h)
+    normH2 = np.einsum("ba,ba->b", hv, hv)
+    keep = normh2 <= ratio_bound * normH2 * (1.0 + 1e-12)
+    return h if keep.all() else h[keep]
+
+
+def assert_same_bits(seed, count, n, k):
+    bound = 4.0 / (3.0 * n) - 0.01
+    got = symmetric_tensors(generator(seed, n, k), count, n, k)
+    want = reference_symmetric(generator(seed, n, k), count, n, k)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    got = pinched_tensors(generator(seed, n, k), count, n, k, bound)
+    for reference in (reference_pinched, fancy_index_pinched):
+        want = reference(generator(seed, n, k), count, n, k, bound)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 class TestSamplersMatchReference:
-    """The in-place samplers return the reference's bits, sample for sample."""
+    """The in-place samplers return the references' bits, sample for sample."""
 
     @pytest.mark.parametrize("n", range(2, 7))
     @pytest.mark.parametrize("k", range(1, 5))
     def test_bit_identical(self, n, k):
-        bound = 4.0 / (3.0 * n) - 0.01
         for seed in range(3):
-            got = symmetric_tensors(generator(seed, n, k), 5003, n, k)
-            want = reference_symmetric(generator(seed, n, k), 5003, n, k)
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
-            got = pinched_tensors(generator(seed, n, k), 5003, n, k, bound)
-            want = reference_pinched(generator(seed, n, k), 5003, n, k, bound)
-            assert got.shape == want.shape
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert_same_bits(seed, 5003, n, k)
+
+    # one sample, and counts that end just past the first and second seam
+    # of the symmetrised blocks
+    @pytest.mark.parametrize("count", [1, BLOCK + 3, 2 * BLOCK + 1])
+    def test_bit_identical_across_block_seams(self, count):
+        for n in range(2, 7):
+            for k in range(1, 5):
+                assert_same_bits(count, count, n, k)
+
+
+class TestSamplerMemory:
+    """Each batch is built in the array the generator fills: the traced peak
+    stays near the result's size, where a copy of the batch would double it."""
+
+    @staticmethod
+    def peak_over_result(draw):
+        tracemalloc.start()
+        try:
+            h = draw(generator(12, 4, 4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak / h.nbytes
+
+    def test_pinched_tensors_peak(self):
+        ratio = self.peak_over_result(
+            lambda rng: pinched_tensors(rng, 50_000, 4, 4, 4.0 / 12.0 - 0.01))
+        assert ratio <= 1.3
+
+    def test_symmetric_tensors_peak(self):
+        ratio = self.peak_over_result(lambda rng: symmetric_tensors(rng, 50_000, 4, 4))
+        assert ratio <= 1.15
 
 
 class TestSpherePinched:

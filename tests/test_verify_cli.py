@@ -38,6 +38,19 @@ class TestSuites:
         assert {r.n for r in rows} == {6}
         assert sum(r.violations for r in rows) == 0
 
+    def test_case1_labels_the_delta_each_cell_samples(self):
+        # the n >= 5 cap does not read delta: those cells sample delta = 0
+        rows = run_suite("sphere-case1", 200, seed=3, delta=0.5)
+        assert {(r.n, r.suite) for r in rows} == {(4, "sphere-case1[delta=0.5]"),
+                                                 (5, "sphere-case1[delta=0.0]")}
+
+    def test_all_gives_each_suite_the_options_it_reads(self):
+        rows = run_suite("all", 2000, seed=3, eps=0.05)
+        alone = run_suite("sphere-case2", 2000, seed=3)
+        assert [r for r in rows if r.suite == "sphere-case2"] == alone
+        assert {r.suite for r in rows if r.suite.startswith("operator-pinch")} == {
+            "operator-pinch[eps=0.05]"}
+
     def test_operator_pinch_skips_infeasible_cells(self):
         rows = run_suite("operator-pinch", 1000, seed=3)
         # eps = 0.1 requires eps < 1/(n(n-1)): only n = 2, 3 qualify
@@ -247,6 +260,9 @@ class TestCliVerify:
         ("--suite", "f-bound", "--r-amb", "1e-300"),      # K overflows
         ("--suite", "sphere-case1", "--n", "4", "--delta", "3"),  # n = 4 cap < 0: no cell
         ("--suite", "f-bound", "--eps", "0.95"),          # n(n-1)(1-eps) < 2: no cell
+        ("--suite", "sphere-case2", "--eps", "0.9"),      # options the claim does not read
+        ("--suite", "sphere-case2", "--delta", "0.5"),
+        ("--suite", "lemma31", "--k", "2"),
     ])
     def test_meaningless_run_is_usage_error(self, tmp_path, capsys, argv):
         rep = tmp_path / "r.csv"
