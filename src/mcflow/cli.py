@@ -3,10 +3,15 @@
 Exit codes: 0 success, 1 property violations, 2 blow-up cap stop,
 3 geometry degeneracy, 64 usage error, 65 data error.
 
-``simulate`` writes a JSON manifest (atomically, last) recording the command
-line, the resolved configuration, the package version, wall-clock duration
-and the list of output files; ``report`` reads the snapshots it lists.
-An ``--out`` that holds an earlier run's manifest or snapshots is refused.
+``simulate`` writes each snapshot as it is recorded, then the diagnostics
+and a JSON manifest (atomically, last) recording the command line, the
+resolved configuration, the package version, wall-clock duration and the
+list of output files.  An ``--out`` that holds an earlier run's manifest or
+snapshots is refused.  ``report`` reads the diagnostics and checks them one
+for one against the snapshots the manifest lists (a mismatch is a data
+error); classification and the area fit read the diagnostics only, and a
+rescaling loads, rescales and writes one snapshot at a time, so neither
+command's memory grows with the number of snapshots.
 ``verify`` writes only its CSV report, whose seed column reproduces it.
 Every command runs in one process, in a fixed order, so re-running with the
 same inputs reproduces all numeric outputs byte-for-byte.  Options may also
@@ -27,16 +32,17 @@ from .errors import DegenerateGeometryError
 from .flow import (
     FlowConfig,
     Trajectory,
-    blowup_type2,
+    blowup_type2_slices,
     classify_type,
+    finish_records,
     fit_area_decay,
+    iter_records,
     read_diagnostics_csv,
-    rescale_type1,
-    run,
+    rescale_type1_slices,
     write_diagnostics_csv,
 )
 from .grid import ParamGrid
-from .immersion import load_snapshot, save_snapshot, scalar_fields
+from .immersion import load_snapshot, save_snapshot, scalar_fields, snapshot_time
 from .solutions import SolutionSpec, seed_immersion
 from .verify import SUITES, run_suite, write_report
 
@@ -227,18 +233,26 @@ def cmd_simulate(args) -> int:
 
     started = time.time()
     os.makedirs(out_dir, exist_ok=True)
+    # each snapshot is written as it is recorded; only the records are kept
+    outputs, records = [], []
+    stream = iter_records(seed_im, config, mode=mode)
     try:
-        traj = run(seed_im, config, mode=mode)
+        while True:
+            try:
+                state, record = next(stream)
+            except StopIteration as end:
+                stop_reason = end.value
+                break
+            name = f"snap_{len(outputs):06d}.txt"
+            save_snapshot(state, os.path.join(out_dir, name))
+            outputs.append(name)
+            records.append(record)
     except DegenerateGeometryError as exc:
         print(f"degenerate geometry: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
 
-    outputs = []
-    for i, snap in enumerate(traj.snapshots):
-        name = f"snap_{i:06d}.txt"
-        save_snapshot(snap, os.path.join(out_dir, name))
-        outputs.append(name)
-    write_diagnostics_csv(traj.diagnostics, os.path.join(out_dir, "diagnostics.csv"))
+    records, T = finish_records(records, mode)
+    write_diagnostics_csv(records, os.path.join(out_dir, "diagnostics.csv"))
     outputs.append("diagnostics.csv")
 
     _write_manifest(out_dir, {
@@ -255,16 +269,16 @@ def cmd_simulate(args) -> int:
             "max_steps": config.max_steps, "blowup_cap": config.stop_on_blowup,
         },
         "mode": mode,
-        "T_singular": traj.T_singular,
-        "stop_reason": traj.stop_reason,
+        "T_singular": T,
+        "stop_reason": stop_reason,
         "duration_s": time.time() - started,
         "outputs": outputs,
     })
-    print(f"{traj.stop_reason}: {len(traj.snapshots)} snapshots, "
-          f"t in [{traj.snapshots[0].t:.6g}, {traj.snapshots[-1].t:.6g}]")
-    if traj.stop_reason == "blowup":
+    print(f"{stop_reason}: {len(records)} snapshots, "
+          f"t in [{records[0].t:.6g}, {records[-1].t:.6g}]")
+    if stop_reason == "blowup":
         return EXIT_BLOWUP
-    if traj.stop_reason == "degenerate":
+    if stop_reason == "degenerate":
         return EXIT_DEGENERATE
     return EXIT_OK
 
@@ -348,39 +362,73 @@ def _add_report(sub):
     p.add_argument("--config", type=str)
 
 
-def _load_trajectory(in_dir: str) -> Trajectory:
-    """The run that wrote ``in_dir``: the snapshots its manifest lists, in
-    that order, with its diagnostics."""
+def _read_run(in_dir: str) -> tuple[Trajectory, list[str]]:
+    """The run that wrote ``in_dir``: its records, as a trajectory that holds
+    no snapshot, and the paths of the snapshots its manifest lists, in that
+    order.  The records must pair with those snapshots one for one, each
+    row's t equal to the t in its snapshot's header (only the header line is
+    read), at strictly increasing times."""
     manifest_path = os.path.join(in_dir, "manifest.json")
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
         records = read_diagnostics_csv(os.path.join(in_dir, "diagnostics.csv"))
-        snaps = [f for f in manifest["outputs"] if f.startswith("snap_")]
-        if not snaps:
+        paths = [os.path.join(in_dir, f) for f in manifest["outputs"] if f.startswith("snap_")]
+        if not paths:
             raise ValueError("the manifest lists no snapshots")
-        snapshots = [load_snapshot(os.path.join(in_dir, f)) for f in snaps]
-        return Trajectory(snapshots=snapshots, diagnostics=records,
+        if len(records) != len(paths):
+            raise ValueError(f"{len(records)} diagnostics rows against {len(paths)} snapshots")
+        for r, path in zip(records, paths):
+            t = snapshot_time(path)
+            if r.t != t:
+                raise ValueError(f"the diagnostics row at t={r.t!r} is paired with "
+                                 f"{os.path.basename(path)} at t={t!r}")
+        if any(b.t <= a.t for a, b in zip(records, records[1:])):
+            raise ValueError("snapshot times must be strictly increasing")
+        traj = Trajectory(snapshots=[], diagnostics=records,
                           mode=manifest.get("mode", "Forward"),
                           T_singular=manifest.get("T_singular"),
                           stop_reason=manifest.get("stop_reason", "t_end"))
+        return traj, paths
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise IOError(f"cannot load trajectory from {in_dir}: {exc}") from exc
 
 
-def _rescaled_summary(result, path):
+def _clear_rescaled(sub: str) -> None:
+    """Remove the snapshots and the summary of a report from ``sub``, and
+    nothing else there."""
+    for name in os.listdir(sub):
+        if name == "summary.csv" or _is_snapshot(name):
+            os.remove(os.path.join(sub, name))
+
+
+def _write_rescaled(slices, sub: str) -> None:
+    """Write each rescaled snapshot as it comes, then ``summary.csv``, whose
+    rows take max|H| and the pinching ratio from each slice's own
+    ``scalar_fields``.  An earlier report's output is replaced; a slice that
+    fails leaves no output of this one."""
+    os.makedirs(sub, exist_ok=True)
+    _clear_rescaled(sub)
     lines = ["tau,maxH,maxRatio"]
-    for snap in result.trajectory.snapshots:
-        gf = scalar_fields(snap)
-        lines.append(f"{snap.t:.17g},{math.sqrt(gf.normH2.max()):.17g},"
-                     f"{gf.max_ratio:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        for i, snap in enumerate(slices):
+            save_snapshot(snap, os.path.join(sub, f"snap_{i:06d}.txt"))
+            gf = scalar_fields(snap)
+            lines.append(f"{snap.t:.17g},{math.sqrt(gf.normH2.max()):.17g},"
+                         f"{gf.max_ratio:.17g}")
+        with open(os.path.join(sub, "summary.csv"), "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except Exception:
+        _clear_rescaled(sub)
+        raise
 
 
 def cmd_report(args) -> int:
     """Classify, fit and rescale the run in ``--in``, writing into it; a run
-    these analyses cannot use is a data error (exit 65)."""
+    these analyses cannot use, or whose diagnostics do not pair with its
+    snapshots, is a data error (exit 65).  The type-2 base is searched among
+    the snapshots whose recorded tIq is near the largest, and each rescaled
+    snapshot is written as it is made."""
     try:
         in_dir = _resolve(args, "in_dir", None, str)
         if not in_dir:
@@ -399,7 +447,7 @@ def cmd_report(args) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        traj = _load_trajectory(in_dir)
+        traj, paths = _read_run(in_dir)
     except IOError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -421,25 +469,23 @@ def cmd_report(args) -> int:
             print(f"area ~ c|t|^r fit: c={c_fit:.6g} r={r_fit:.4f}")
 
         if rescale:
+            times = [r.t for r in traj.diagnostics]
+
+            def load(i):    # a snapshot is read when a rescaling asks for it
+                return load_snapshot(paths[i])
             if rescale == "type2":
-                result = blowup_type2(traj)
+                stream = blowup_type2_slices(traj.diagnostics, times, load,
+                                             traj.mode, traj.T_singular)
             else:
                 if tj is None:
-                    times = traj.times
-                    tj = float(times[0] / 2.0) if traj.mode == "Ancient" else None
+                    tj = times[0] / 2.0 if traj.mode == "Ancient" else None
                     if tj is None or tj >= 0:
                         raise ValueError("--tj is required for type1 on this trajectory")
-                result = rescale_type1(traj, tj, n_tau=n_tau)
+                stream = rescale_type1_slices(times, load, traj.mode, tj, n_tau)
+            slices, L, _, base_time = stream
             sub = os.path.join(in_dir, f"rescale_{rescale}")
-            os.makedirs(sub, exist_ok=True)
-            for name in os.listdir(sub):    # an earlier report's output
-                if name == "summary.csv" or _is_snapshot(name):
-                    os.remove(os.path.join(sub, name))
-            for i, snap in enumerate(result.trajectory.snapshots):
-                save_snapshot(snap, os.path.join(sub, f"snap_{i:06d}.txt"))
-            _rescaled_summary(result, os.path.join(sub, "summary.csv"))
-            print(f"{rescale}: L={result.L:.6g} base_time={result.base_time:.6g} "
-                  f"-> {sub}")
+            _write_rescaled(slices, sub)
+            print(f"{rescale}: L={L:.6g} base_time={base_time:.6g} -> {sub}")
     except (ValueError, DegenerateGeometryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -32,6 +32,16 @@ a pinching violation: positive while the surface is strictly pinched), the
 integral phi of f_sigma^p, the Gauss curvature integral (n = 2), and the
 type-I quantity (-t) max|H|^2 (ancient) or (T - t) max|H|^2 (forward, with T
 estimated by extrapolating 1 / max|H|^2 linearly in t to its root).
+
+Runs and rescalings stream.  :func:`iter_records` is a generator that yields
+each recorded state with its record as soon as it is taken, so a caller can
+write the state and drop it; :func:`run` collects it into a ``Trajectory``.
+The forward-mode type-I quantity needs T, which only all the records give,
+so :func:`finish_records` completes the records at the end.
+``blowup_type2_slices`` and ``rescale_type1_slices`` read snapshots through an
+index function and yield one rescaled slice at a time; the type-2 base is
+searched among the snapshots whose recorded tIq is within a relative 1e-12
+of the largest.  ``blowup_type2`` and ``rescale_type1`` collect them.
 """
 
 from __future__ import annotations
@@ -61,12 +71,16 @@ __all__ = [
     "ClassifyResult",
     "cfl_dt",
     "step",
+    "iter_records",
+    "finish_records",
     "run",
     "diagnostics",
     "fsigma_integral",
     "classify_type",
     "blowup_type2",
+    "blowup_type2_slices",
     "rescale_type1",
+    "rescale_type1_slices",
     "fit_area_decay",
     "write_diagnostics_csv",
     "read_diagnostics_csv",
@@ -104,7 +118,7 @@ class FlowConfig:
             raise ValueError("snapshot_every must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiagnosticsRecord:
     """One time slice of every scalar functional tracked along a run.
 
@@ -331,63 +345,97 @@ def _estimate_singular_time(times: np.ndarray, maxH2: np.ndarray) -> Optional[fl
     return float(-intercept / slope)
 
 
-def run(seed: DiscreteImmersion, config: FlowConfig, mode: str = "Forward") -> Trajectory:
+def _records(seed: DiscreteImmersion, config: FlowConfig, mode: str):
+    """The loop of :func:`iter_records`, without its numpy error state."""
+    im = seed.copy()
+    sf = scalar_fields(im)
+    yield im, diagnostics(im, mode=mode, fields=sf)
+    recorded_t = im.t
+    stop_reason = "t_end"
+    steps = 0
+    t_end = config.t_end
+    while im.t < t_end - 1e-15 and steps < config.max_steps:
+        if float(sf.normh2.max()) > config.stop_on_blowup:
+            stop_reason = "blowup"
+            break
+        try:
+            dt = min(_dt_bound(im, config.cfl, sf), t_end - im.t)
+            if not im.t + dt > im.t:
+                raise DegenerateGeometryError(
+                    f"a step of {dt:.3e} leaves t = {im.t!r} unchanged")
+            nxt = step(im, dt, first_stage_velocity=_polar_filter(im.grid, sf.Hvec))
+            sf = scalar_fields(nxt)
+        except DegenerateGeometryError:
+            stop_reason = "degenerate"
+            break
+        im = nxt
+        steps += 1
+        if steps % config.snapshot_every == 0:
+            yield im, diagnostics(im, mode=mode, fields=sf)
+            recorded_t = im.t
+    if steps >= config.max_steps and im.t < t_end - 1e-15 and stop_reason == "t_end":
+        stop_reason = "max_steps"
+    if stop_reason != "degenerate" and recorded_t < im.t:
+        yield im, diagnostics(im, mode=mode, fields=sf)
+    return stop_reason
+
+
+def iter_records(seed: DiscreteImmersion, config: FlowConfig, mode: str = "Forward"):
     """Flow a seed immersion until t_end, max_steps, blow-up cap, or geometry
-    degeneracy; snapshots and diagnostics are recorded every
-    ``snapshot_every`` steps and at both endpoints, each record measured from
-    the extraction that validated its state.
+    degeneracy, yielding each recorded ``(state, record)`` as soon as it is
+    taken; the generator's return value is the stop reason.
 
-    Mid-run degeneracy (a metric past the condition cap, a stage or state
-    that is not finite, or a step bound too small to move t) aborts with the
-    last good snapshot; a seed that fails extraction raises.
+    States are recorded every ``snapshot_every`` steps and at both endpoints,
+    each measured from the extraction that validated it.  A state is not
+    copied and the flow never changes it.  A Forward-mode record's tIq is NaN:
+    it needs the singular time, which only all the records give (see
+    :func:`finish_records`).  Mid-run degeneracy (a metric past the condition
+    cap, a stage or state that is not finite, or a step bound too small to
+    move t) ends the run after the last good record; a seed that fails
+    extraction raises.
     """
-    # a degenerating state overflows or divides by zero on its way to the
-    # condition and finiteness checks, which end the run; numpy need not warn
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        im = seed.copy()
-        sf = scalar_fields(im)
-        snapshots, pre = [], []
-
-        def record(state: DiscreteImmersion, fields: ScalarFields) -> None:
-            snapshots.append(state.copy())
-            pre.append(diagnostics(state, mode="Ancient", fields=fields))
-
-        record(im, sf)
-        stop_reason = "t_end"
-        steps = 0
-        t_end = config.t_end
-        while im.t < t_end - 1e-15 and steps < config.max_steps:
-            if float(sf.normh2.max()) > config.stop_on_blowup:
-                stop_reason = "blowup"
-                break
+    records = _records(seed, config, mode)
+    while True:
+        # a degenerating state overflows or divides by zero on its way to the
+        # condition and finiteness checks, which end the run; numpy need not
+        # warn.  The quiet state covers the flow's own work, not the caller's
+        # between records.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             try:
-                dt = min(_dt_bound(im, config.cfl, sf), t_end - im.t)
-                if not im.t + dt > im.t:
-                    raise DegenerateGeometryError(
-                        f"a step of {dt:.3e} leaves t = {im.t!r} unchanged")
-                nxt = step(im, dt, first_stage_velocity=_polar_filter(im.grid, sf.Hvec))
-                sf = scalar_fields(nxt)
-            except DegenerateGeometryError:
-                stop_reason = "degenerate"
-                break
-            im = nxt
-            steps += 1
-            if steps % config.snapshot_every == 0:
-                record(im, sf)
-        if steps >= config.max_steps and im.t < t_end - 1e-15 and stop_reason == "t_end":
-            stop_reason = "max_steps"
-        if stop_reason != "degenerate" and snapshots[-1].t < im.t:
-            record(im, sf)
+                item = next(records)
+            except StopIteration as end:
+                return end.value
+        yield item
 
-        T = None
-        if mode == "Forward":
-            T = _estimate_singular_time(np.array([r.t for r in pre]),
-                                        np.array([r.maxH ** 2 for r in pre]))
-            records = [replace(r, tIq=_type1_weight(r.t, mode, T) * r.maxH ** 2) for r in pre]
-        else:
-            records = pre
-        return Trajectory(snapshots=snapshots, diagnostics=records, mode=mode,
-                          T_singular=T, stop_reason=stop_reason)
+
+def finish_records(records: list[DiagnosticsRecord], mode: str
+                   ) -> tuple[list[DiagnosticsRecord], Optional[float]]:
+    """A run's records with their type-I quantity, and the singular time T
+    that it used: in Forward mode T is estimated from all the records (None
+    when the fit fails), in Ancient mode the records are final and T is None."""
+    if mode != "Forward":
+        return records, None
+    T = _estimate_singular_time(np.array([r.t for r in records]),
+                                np.array([r.maxH ** 2 for r in records]))
+    return [replace(r, tIq=_type1_weight(r.t, mode, T) * r.maxH ** 2) for r in records], T
+
+
+def run(seed: DiscreteImmersion, config: FlowConfig, mode: str = "Forward") -> Trajectory:
+    """The records of :func:`iter_records` collected into a trajectory, each
+    state copied, with the records finished by :func:`finish_records`."""
+    snapshots, records = [], []
+    stream = iter_records(seed, config, mode)
+    while True:
+        try:
+            state, record = next(stream)
+        except StopIteration as end:
+            stop_reason = end.value
+            break
+        snapshots.append(state.copy())
+        records.append(record)
+    records, T = finish_records(records, mode)
+    return Trajectory(snapshots=snapshots, diagnostics=records, mode=mode,
+                      T_singular=T, stop_reason=stop_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +479,61 @@ def _transform_snapshot(im: DiscreteImmersion, scale: float,
                              t=new_t, wrap_offsets=wraps)
 
 
+def _type2_candidates(records: list[DiagnosticsRecord], times) -> range | list[int]:
+    """Indices of the snapshots that can hold the type-2 base point: those
+    whose recorded tIq lies within a relative 1e-12 of the largest.  A
+    record's tIq is its snapshot's key q in Ancient mode, and within a few
+    ulps of it in Forward mode, where it is built from the rounded max|H|.
+    Records that do not pair one for one with the snapshot ``times``, or
+    whose tIq are not all finite, leave every snapshot a candidate."""
+    tiq = [r.tIq for r in records]
+    if ([r.t for r in records] != list(times)
+            or not all(math.isfinite(q) for q in tiq)):
+        return range(len(times))
+    top = max(tiq)
+    return [i for i, q in enumerate(tiq) if q >= top - 1e-12 * abs(top)]
+
+
+def blowup_type2_slices(records: list[DiagnosticsRecord], times, snapshot_at,
+                        mode: str, T: Optional[float]):
+    """The curvature-normalised blow-up of :func:`blowup_type2`, one slice at
+    a time: ``(slices, L, base_point, base_time)``.
+
+    ``snapshot_at(i)`` gives the snapshot at ``times[i]``, and ``records``
+    the run's diagnostics.  The base is chosen by the exact key among the
+    candidates the records name (see :func:`_type2_candidates`); then
+    ``slices`` yields the rescaled snapshots in order, asking for each
+    snapshot once more, except the base, which it keeps.
+    """
+    if mode == "Forward" and T is None:
+        raise ValueError("forward-mode blow-up needs an estimated singular time")
+    best = None  # (key, index, snapshot, flat_index, normH2_at_node)
+    for i in _type2_candidates(records, times):
+        s = snapshot_at(i)
+        h2 = scalar_fields(s).normH2.reshape(-1)
+        idx = int(np.argmax(h2))
+        q = _type1_weight(s.t, mode, T) * float(h2[idx])
+        key = (-q, s.t, idx)
+        if best is None or key < best[0]:
+            best = (key, i, s, idx, float(h2[idx]))
+    _, j, base, x_j, L = best
+    t_j, scale = base.t, math.sqrt(L)
+    origin = base.positions.reshape(-1, base.ambient_dim)[x_j].copy()
+
+    def slices():
+        for i in range(len(times)):
+            s = base if i == j else snapshot_at(i)
+            yield _transform_snapshot(s, scale, origin, (s.t - t_j) * L)
+    return slices(), L, x_j, t_j
+
+
+def _collect(traj: Trajectory, stream) -> RescaleResult:
+    slices, L, base_point, base_time = stream
+    rtraj = Trajectory(snapshots=list(slices), diagnostics=[], mode=traj.mode,
+                       T_singular=None, stop_reason=traj.stop_reason)
+    return RescaleResult(trajectory=rtraj, L=L, base_point=base_point, base_time=base_time)
+
+
 def blowup_type2(traj: Trajectory, window: Optional[tuple[float, float]] = None
                  ) -> RescaleResult:
     """Curvature-normalised blow-up about the space-time curvature maximum.
@@ -440,32 +543,53 @@ def blowup_type2(traj: Trajectory, window: Optional[tuple[float, float]] = None
     earliest time, then the lowest flat node index.  Snapshots transform as
     F -> sqrt(L)(F - F(x_j, t_j)) with L = |H(x_j, t_j)|^2, times as
     tau = (t - t_j) L, so the tau = 0 slice has max |H| = 1 up to roundoff
-    and the pinching ratio field is untouched.
+    and the pinching ratio field is untouched.  Records that pair with the
+    snapshots narrow the search (see :func:`blowup_type2_slices`).
     """
-    snaps = traj.snapshots
+    snaps, records = traj.snapshots, traj.diagnostics
     if window is not None:
         lo, hi = window
         snaps = [s for s in snaps if lo <= s.t <= hi]
+        records = [r for r in records if lo <= r.t <= hi]
     if not snaps:
         raise ValueError("empty rescaling window")
-    if traj.mode == "Forward" and traj.T_singular is None:
-        raise ValueError("forward-mode blow-up needs an estimated singular time")
+    return _collect(traj, blowup_type2_slices(records, [s.t for s in snaps], snaps.__getitem__,
+                                              traj.mode, traj.T_singular))
 
-    best = None  # (-q, t, flat_index, normH2_at_node, position)
-    for s in snaps:
-        h2 = scalar_fields(s).normH2.reshape(-1)
-        idx = int(np.argmax(h2))
-        q = _type1_weight(s.t, traj.mode, traj.T_singular) * float(h2[idx])
-        key = (-q, s.t, idx)
-        if best is None or key < best[0]:
-            best = (key, s.t, idx, float(h2[idx]),
-                    s.positions.reshape(-1, s.ambient_dim)[idx].copy())
-    _, t_j, x_j, L, origin = best
-    scale = math.sqrt(L)
-    out = [_transform_snapshot(s, scale, origin, (s.t - t_j) * L) for s in snaps]
-    rtraj = Trajectory(snapshots=out, diagnostics=[], mode=traj.mode,
-                       T_singular=None, stop_reason=traj.stop_reason)
-    return RescaleResult(trajectory=rtraj, L=L, base_point=x_j, base_time=t_j)
+
+def rescale_type1_slices(times, snapshot_at, mode: str, t_j: float, n_tau: int = 11):
+    """The type-I rescaling of :func:`rescale_type1`, one slice at a time:
+    ``(slices, L, None, t_j)``.
+
+    ``snapshot_at(i)`` gives the snapshot at ``times[i]``; ``slices`` asks
+    only for the snapshots that its interpolation reads, each once while it
+    is in use.  The arguments are checked before this returns.
+    """
+    if t_j >= 0:
+        raise ValueError("type-I rescaling requires t_j < 0")
+    if mode != "Ancient":
+        raise ValueError("type-I rescaling applies to ancient-mode trajectories")
+    times = np.asarray(times, dtype=float)
+    if times[0] > 2.0 * t_j + 1e-12 or times[-1] < t_j - 1e-12:
+        raise ValueError(
+            f"trajectory covers [{times[0]:.6g}, {times[-1]:.6g}] but the "
+            f"transform needs [{2 * t_j:.6g}, {t_j:.6g}]"
+        )
+    scale = 1.0 / math.sqrt(-t_j)
+
+    def slices():
+        pair = {}
+        for tau in np.linspace(-2.0, -1.0, n_tau):
+            t = -t_j * tau
+            j = int(np.searchsorted(times, t))
+            j = min(max(j, 1), len(times) - 1)
+            pair = {i: pair[i] if i in pair else snapshot_at(i) for i in (j - 1, j)}
+            t0, t1 = times[j - 1], times[j]
+            w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
+            pos = (1.0 - w) * pair[j - 1].positions + w * pair[j].positions
+            interp = pair[j - 1].with_positions(pos, t)
+            yield _transform_snapshot(interp, scale, None, float(tau))
+    return slices(), 1.0 / (-t_j), None, t_j
 
 
 def rescale_type1(traj: Trajectory, t_j: float, n_tau: int = 11) -> RescaleResult:
@@ -474,31 +598,8 @@ def rescale_type1(traj: Trajectory, t_j: float, n_tau: int = 11) -> RescaleResul
     Snapshots at the uniform tau grid are built by per-node linear
     interpolation in t of the stored snapshots, which must cover
     [2 t_j, t_j]."""
-    if t_j >= 0:
-        raise ValueError("type-I rescaling requires t_j < 0")
-    if traj.mode != "Ancient":
-        raise ValueError("type-I rescaling applies to ancient-mode trajectories")
-    times = traj.times
-    if times[0] > 2.0 * t_j + 1e-12 or times[-1] < t_j - 1e-12:
-        raise ValueError(
-            f"trajectory covers [{times[0]:.6g}, {times[-1]:.6g}] but the "
-            f"transform needs [{2 * t_j:.6g}, {t_j:.6g}]"
-        )
-    scale = 1.0 / math.sqrt(-t_j)
-    taus = np.linspace(-2.0, -1.0, n_tau)
-    out = []
-    for tau in taus:
-        t = -t_j * tau
-        j = int(np.searchsorted(times, t))
-        j = min(max(j, 1), len(times) - 1)
-        t0, t1 = times[j - 1], times[j]
-        w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-        pos = (1.0 - w) * traj.snapshots[j - 1].positions + w * traj.snapshots[j].positions
-        interp = traj.snapshots[j - 1].with_positions(pos, t)
-        out.append(_transform_snapshot(interp, scale, None, float(tau)))
-    rtraj = Trajectory(snapshots=out, diagnostics=[], mode="Ancient",
-                       T_singular=None, stop_reason=traj.stop_reason)
-    return RescaleResult(trajectory=rtraj, L=1.0 / (-t_j), base_point=None, base_time=t_j)
+    return _collect(traj, rescale_type1_slices(traj.times, traj.snapshots.__getitem__,
+                                               traj.mode, t_j, n_tau))
 
 
 def fit_area_decay(traj: Trajectory, window: Optional[tuple[float, float]] = None
@@ -527,12 +628,11 @@ def fit_area_decay(traj: Trajectory, window: Optional[tuple[float, float]] = Non
 def write_diagnostics_csv(records, path) -> None:
     """Exact column order t,area,intH2,maxH,minH,maxRatio,minQ,phi,gaussBonnet,tIq;
     17 significant digits; gaussBonnet empty for n != 2."""
-    lines = [",".join(CSV_COLUMNS)]
-    for r in records:
-        values = (getattr(r, c) for c in CSV_COLUMNS)
-        lines.append(",".join("" if v is None else f"{v:.17g}" for v in values))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        for r in records:
+            values = (getattr(r, c) for c in CSV_COLUMNS)
+            fh.write(",".join("" if v is None else f"{v:.17g}" for v in values) + "\n")
 
 
 def read_diagnostics_csv(path) -> list[DiagnosticsRecord]:

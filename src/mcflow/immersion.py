@@ -49,6 +49,7 @@ __all__ = [
     "gauss_curvature_field",
     "save_snapshot",
     "load_snapshot",
+    "snapshot_time",
     "SNAPSHOT_MAGIC",
 ]
 
@@ -444,27 +445,40 @@ def save_snapshot(im: DiscreteImmersion, path) -> None:
             fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
+def _read_header(fh, path) -> tuple:
+    """(n, k, topology, (r1, r2), t, wraps) from the header line of an open
+    snapshot file."""
+    header = fh.readline().strip()
+    if not header.startswith(SNAPSHOT_MAGIC):
+        raise ValueError(f"{path}: not a {SNAPSHOT_MAGIC} snapshot")
+    fields = {}
+    wraps = {}
+    try:
+        for token in header[len(SNAPSHOT_MAGIC):].split():
+            key, _, value = token.partition("=")
+            if key.startswith("wrap"):
+                wraps[int(key[4:])] = np.array([float(c) for c in value.split(",")])
+            else:
+                fields[key] = value
+        n, k = int(fields["n"]), int(fields["k"])
+        topology = fields["topology"]
+        r1, r2 = (int(r) for r in fields["res"].split("x"))
+        t = float(fields["t"])
+    except (KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed snapshot header {header!r}") from exc
+    return n, k, topology, (r1, r2), t, wraps
+
+
+def snapshot_time(path) -> float:
+    """The time in a snapshot file's header, read without its node block."""
+    with open(path) as fh:
+        return _read_header(fh, path)[4]
+
+
 def load_snapshot(path) -> DiscreteImmersion:
     """Read a snapshot file written by :func:`save_snapshot`."""
     with open(path) as fh:
-        header = fh.readline().strip()
-        if not header.startswith(SNAPSHOT_MAGIC):
-            raise ValueError(f"{path}: not a {SNAPSHOT_MAGIC} snapshot")
-        fields = {}
-        wraps = {}
-        try:
-            for token in header[len(SNAPSHOT_MAGIC):].split():
-                key, _, value = token.partition("=")
-                if key.startswith("wrap"):
-                    wraps[int(key[4:])] = np.array([float(c) for c in value.split(",")])
-                else:
-                    fields[key] = value
-            n, k = int(fields["n"]), int(fields["k"])
-            topology = fields["topology"]
-            r1, r2 = (int(r) for r in fields["res"].split("x"))
-            t = float(fields["t"])
-        except (KeyError, ValueError) as exc:
-            raise ValueError(f"{path}: malformed snapshot header {header!r}") from exc
+        n, k, topology, (r1, r2), t, wraps = _read_header(fh, path)
         res = (r1,) if topology == "Circle" else (r1, r2)
         grid = ParamGrid(topology=topology, res=res)
         data = np.loadtxt(fh, ndmin=2)

@@ -10,7 +10,9 @@ counts the suites need.
 
 Plain and pinched batches are built in place, in the array the generator
 fills: no step makes a second array of the batch's size, so a batch's peak
-memory is about its own size.
+memory is about its own size.  The sphere-background batches are built the
+same way, then rotated sample-last in two buffers of the batch's size, so
+their peak is about two and a half batches.
 
 All samplers take an explicit ``numpy.random.Generator``; suites derive their
 generators from a recorded base seed so every report is reproducible.
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curvature import batch_mean_vector, batch_traceless
+from .curvature import batch_mean_vector
 
 __all__ = [
     "generator",
@@ -131,14 +133,22 @@ def sphere_pinched_tensors(rng: np.random.Generator, count: int, n: int, k: int,
     hmag = _magnitudes(rng, count)
     normH2 = hmag ** 2
 
-    # adapted-frame construction: diagonal first slice, traceless others
+    # adapted-frame construction: diagonal first slice, traceless others; the
+    # others are made traceless in the generator's array, on the identity
+    # entries only, as pinched_tensors does
     diag = rng.standard_normal((count, n))
     diag -= diag.mean(axis=1, keepdims=True)
     h = np.zeros((count, n, n, k))
     h[:, np.arange(n), np.arange(n), 0] = diag
+    del diag
     if k > 1:
-        rest = batch_traceless(symmetric_tensors(rng, count, n, k - 1))
+        rest = symmetric_tensors(rng, count, n, k - 1)
+        mean = batch_mean_vector(rest) / n
+        for i in range(n):
+            rest[:, i, i, :] -= mean
+        del mean
         h[:, :, :, 1:] = rest
+        del rest
     h0n2 = np.einsum("bija,bija->b", h, h)
     h0n2[h0n2 == 0] = 1.0
     cap = np.asarray(h0sq_cap(normH2), dtype=float)
@@ -146,9 +156,13 @@ def sphere_pinched_tensors(rng: np.random.Generator, count: int, n: int, k: int,
     h *= np.sqrt(u * cap / h0n2)[:, None, None, None]
     h[:, np.arange(n), np.arange(n), 0] += hmag[:, None] / n
 
-    o_tan = random_rotations(rng, count, n)
-    o_nor = random_rotations(rng, count, k)
-    return rotate_tensors(h, o_tan, o_nor)
+    # the batch-last copies replace h and the rotations, and the products
+    # reuse h's buffer
+    h = _batch_last(h)
+    o_tan = _batch_last(random_rotations(rng, count, n))
+    o_nor = _batch_last(random_rotations(rng, count, k))
+    h = _rotate_batch_last(h, o_tan, o_nor)
+    return _batch_first(h)
 
 
 def random_rotations(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
@@ -162,20 +176,32 @@ def random_rotations(rng: np.random.Generator, count: int, d: int) -> np.ndarray
     return q * sign[:, None, :]
 
 
+def _batch_last(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous copy of ``a`` with the sample axis moved last."""
+    return np.moveaxis(a, 0, -1).copy()
+
+
+def _batch_first(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+
+def _rotate_batch_last(hz: np.ndarray, o_t: np.ndarray, o_n: np.ndarray) -> np.ndarray:
+    """The products of :func:`rotate_tensors` on batch-last copies of h,
+    (n, n, k, count), and of the rotations.  ``hz``'s buffer takes the
+    second product; the result, batch-last, takes the first one's."""
+    t = np.einsum("pqaz,abz->pqbz", hz, o_n)
+    s = np.einsum("ipz,pqbz->iqbz", o_t, t, out=hz)
+    return np.einsum("jqz,iqbz->ijbz", o_t, s, out=t)
+
+
 def rotate_tensors(h: np.ndarray, o_tan: np.ndarray, o_nor: np.ndarray) -> np.ndarray:
     """Apply tangent rotation O and normal rotation U: h'_{ijb} = O_ip O_jq U_ab h_{pqa}.
 
     Contracted as three two-operand products: the normal factor first, then
     the first and the second tangent factor, about (n^3 k + n^2 k^2) work per
     sample instead of the n^4 k^2 of one four-operand loop.  The sample axis
-    is moved last so that each product's inner loop runs over the batch, and
-    the last product reuses the first one's buffer.
+    is moved last so that each product's inner loop runs over the batch;
+    the products take turns in two buffers of the batch's size.
     """
-    def batch_last(a):
-        return np.ascontiguousarray(np.moveaxis(a, 0, -1))
-
-    o_t = batch_last(o_tan)
-    t = np.einsum("pqaz,abz->pqbz", batch_last(h), batch_last(o_nor))
-    s = np.einsum("ipz,pqbz->iqbz", o_t, t)
-    r = np.einsum("jqz,iqbz->ijbz", o_t, s, out=t)
-    return np.ascontiguousarray(np.moveaxis(r, -1, 0))
+    return _batch_first(_rotate_batch_last(_batch_last(h), _batch_last(o_tan),
+                                           _batch_last(o_nor)))

@@ -20,7 +20,8 @@ samples drawn)), the options the claim reads, the violation rule (not
 margin >= -tol, or not margin > -tol for a strict claim) and the least n of
 the claim.  One loop, ``_run``, draws each cell from its own generator,
 derived from the base seed, so a report is reproducible from its seed column
-alone.  A run with an option its suite does not read, no cell, fewer samples
+alone.  A run with an option its suite does not read, or that no cell of
+the run reads (``delta`` without an n = 4 cell), no cell, fewer samples
 than cells, a smaller n or k < 1 raises ``ValueError`` before it samples;
 ``run_suite("all", ...)`` gives each suite only the options it reads.
 """
@@ -241,6 +242,9 @@ def _cells(name: str, samples: int, **options) -> list[tuple]:
     cells = suite.cells(**options)
     if not cells:
         raise ValueError(f"{name} has no cell whose hypothesis holds for these options")
+    # the case-1 slack is read by the n = 4 cap alone
+    if "delta" in options and all(dim != 4 for _, dim, _, _ in cells):
+        raise ValueError(f"{name} reads delta at n = 4 only, and this run has no n = 4 cell")
     if samples < len(cells):
         raise ValueError(f"{name} needs a sample for each of its {len(cells)} cells; "
                          f"got samples={samples}")

@@ -120,6 +120,41 @@ def assert_same_bits(seed, count, n, k):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def reference_rotate(h, o_tan, o_nor):
+    """rotate_tensors as first written in three products, with a fresh
+    buffer for the second one."""
+    def batch_last(a):
+        return np.ascontiguousarray(np.moveaxis(a, 0, -1))
+
+    o_t = batch_last(o_tan)
+    t = np.einsum("pqaz,abz->pqbz", batch_last(h), batch_last(o_nor))
+    s = np.einsum("ipz,pqbz->iqbz", o_t, t)
+    r = np.einsum("jqz,iqbz->ijbz", o_t, s, out=t)
+    return np.ascontiguousarray(np.moveaxis(r, -1, 0))
+
+
+def reference_sphere_pinched(rng, count, n, k, h0sq_cap):
+    """sphere_pinched_tensors as first written: a zero batch, a traceless
+    copy of the other slices' draw, and the rotation on a copy of h."""
+    hmag = np.exp(rng.normal(0.0, 0.5, count))
+    normH2 = hmag ** 2
+    diag = rng.standard_normal((count, n))
+    diag -= diag.mean(axis=1, keepdims=True)
+    h = np.zeros((count, n, n, k))
+    h[:, np.arange(n), np.arange(n), 0] = diag
+    if k > 1:
+        h[:, :, :, 1:] = batch_traceless(reference_symmetric(rng, count, n, k - 1))
+    h0n2 = np.einsum("bija,bija->b", h, h)
+    h0n2[h0n2 == 0] = 1.0
+    cap = np.asarray(h0sq_cap(normH2), dtype=float)
+    u = rng.uniform(0.0, 1.0, count)
+    h *= np.sqrt(u * cap / h0n2)[:, None, None, None]
+    h[:, np.arange(n), np.arange(n), 0] += hmag[:, None] / n
+    o_tan = random_rotations(rng, count, n)
+    o_nor = random_rotations(rng, count, k)
+    return reference_rotate(h, o_tan, o_nor)
+
+
 class TestSamplersMatchReference:
     """The in-place samplers return the references' bits, sample for sample."""
 
@@ -136,6 +171,15 @@ class TestSamplersMatchReference:
         for n in range(2, 7):
             for k in range(1, 5):
                 assert_same_bits(count, count, n, k)
+
+    @pytest.mark.parametrize("n,k", [(5, 4), (4, 1), (2, 3), (6, 2)])
+    @pytest.mark.parametrize("count", [1, 7, 3001])
+    def test_sphere_pinched_bit_identical(self, n, k, count):
+        cap = lambda H2: H2 / (n * (n - 1)) + 2.0
+        got = sphere_pinched_tensors(generator(count, n, k), count, n, k, cap)
+        want = reference_sphere_pinched(generator(count, n, k), count, n, k, cap)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestSamplerMemory:
@@ -160,6 +204,14 @@ class TestSamplerMemory:
     def test_symmetric_tensors_peak(self):
         ratio = self.peak_over_result(lambda rng: symmetric_tensors(rng, 50_000, 4, 4))
         assert ratio <= 1.15
+
+    def test_sphere_pinched_tensors_peak(self):
+        # the traceless slices are made in their draw, which is freed once
+        # copied into h, and the rotation runs in h's batch-last copy and one
+        # more buffer: about 2.5 batches, where the first version took 5.5
+        ratio = self.peak_over_result(
+            lambda rng: sphere_pinched_tensors(rng, 20_000, 5, 4, lambda H2: H2 / 20.0 + 2.0))
+        assert ratio <= 3.0
 
 
 class TestSpherePinched:

@@ -44,6 +44,11 @@ class TestSuites:
         assert {(r.n, r.suite) for r in rows} == {(4, "sphere-case1[delta=0.5]"),
                                                  (5, "sphere-case1[delta=0.0]")}
 
+    def test_all_passes_delta_to_the_n4_cells(self):
+        rows = run_suite("all", 700, seed=3, delta=0.5)
+        assert {(r.n, r.suite) for r in rows if r.suite.startswith("sphere-case1")} == {
+            (4, "sphere-case1[delta=0.5]"), (5, "sphere-case1[delta=0.0]")}
+
     def test_all_gives_each_suite_the_options_it_reads(self):
         rows = run_suite("all", 2000, seed=3, eps=0.05)
         alone = run_suite("sphere-case2", 2000, seed=3)
@@ -263,6 +268,8 @@ class TestCliVerify:
         ("--suite", "sphere-case2", "--eps", "0.9"),      # options the claim does not read
         ("--suite", "sphere-case2", "--delta", "0.5"),
         ("--suite", "lemma31", "--k", "2"),
+        ("--suite", "sphere-case1", "--n", "5", "--delta", "3"),  # no cell reads delta
+        ("--suite", "all", "--n", "5", "--delta", "0.5"),
     ])
     def test_meaningless_run_is_usage_error(self, tmp_path, capsys, argv):
         rep = tmp_path / "r.csv"
@@ -369,15 +376,16 @@ class TestCliReport:
         assert err.startswith("usage error:") and "not a directory" in err
 
     def test_report_reads_only_the_listed_snapshots(self, tmp_path, capsys):
-        from mcflow.cli import _load_trajectory
+        from mcflow.cli import _read_run
         out = tmp_path / "run"
         assert run_cli("simulate", "--spec", "sphere", "--grid", "16x32", "--t-end", "0.05",
                        "--snapshot-every", "100", "--out", str(out)) == 0
         # a snapshot the manifest does not list is ignored
         stray = (out / "snap_000000.txt").read_text()
         (out / "snap_999999.txt").write_text(stray)
-        traj = _load_trajectory(str(out))
-        assert len(traj.snapshots) == len(traj.diagnostics) == 2
+        traj, paths = _read_run(str(out))
+        assert [Path(p).name for p in paths] == ["snap_000000.txt", "snap_000001.txt"]
+        assert len(traj.diagnostics) == 2
         capsys.readouterr()
         assert run_cli("report", "--in", str(out), "--classify") == 65
         err = capsys.readouterr().err   # two records are too few to classify
@@ -413,6 +421,43 @@ class TestCliReport:
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("edit", ["drop_last_row", "move_one_t"])
+    def test_records_that_do_not_match_the_snapshots_are_data_error(self, run_dir, capsys,
+                                                                     edit):
+        path = run_dir / "diagnostics.csv"
+        lines = path.read_text().splitlines()
+        if edit == "drop_last_row":
+            lines.pop()
+        else:
+            t, rest = lines[3].split(",", 1)
+            lines[3] = f"{float(t) + 1e-9!r},{rest}"
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("report", "--in", str(run_dir), "--rescale", "type2") == 65
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert not list(run_dir.glob("rescale_type2/snap_*.txt"))
+
+    def test_snapshot_that_fails_mid_rescale_leaves_no_rescaled_output(self, run_dir, capsys):
+        assert run_cli("report", "--in", str(run_dir), "--rescale", "type2") == 0
+        sub = run_dir / "rescale_type2"
+        assert (sub / "summary.csv").exists()
+        # a snapshot outside the type-2 candidates is first read while the
+        # rescaled slices are written; its header still pairs with its row,
+        # and its node block does not parse
+        from mcflow.flow import _type2_candidates, read_diagnostics_csv
+        records = read_diagnostics_csv(run_dir / "diagnostics.csv")
+        candidates = _type2_candidates(records, [r.t for r in records])
+        bad = max(set(range(len(records))) - set(candidates))
+        assert bad > 0
+        path = sorted(run_dir.glob("snap_*.txt"))[bad]
+        path.write_text(path.read_text().splitlines()[0] + "\n1 2\n")
+        capsys.readouterr()
+        assert run_cli("report", "--in", str(run_dir), "--rescale", "type2") == 65
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert sorted(p.name for p in sub.iterdir()) == []
 
     def test_corrupt_snapshot_is_data_error(self, run_dir):
         snaps = sorted(f for f in os.listdir(run_dir) if f.startswith("snap_"))
