@@ -1,4 +1,5 @@
-"""Numerical laboratory for mean curvature flow in high codimension."""
+"""Numerical laboratory for mean curvature flow in high codimension.  A
+``Trajectory`` is a run's records; a rescaling reads its snapshots by index."""
 
 __version__ = "0.1.0"
 
@@ -7,7 +8,6 @@ from .errors import CapExtinctError, DegenerateGeometryError, MinimalPointError 
 from .flow import (  # noqa: F401
     DiagnosticsRecord,
     FlowConfig,
-    RescaleResult,
     Trajectory,
     blowup_type2,
     cfl_dt,
@@ -16,7 +16,6 @@ from .flow import (  # noqa: F401
     fit_area_decay,
     fsigma_integral,
     rescale_type1,
-    run,
     step,
 )
 from .grid import ParamGrid  # noqa: F401

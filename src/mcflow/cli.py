@@ -3,15 +3,18 @@
 Exit codes: 0 success, 1 property violations, 2 blow-up cap stop,
 3 geometry degeneracy, 64 usage error, 65 data error.
 
-``simulate`` writes each snapshot as it is recorded, then the diagnostics
-and a JSON manifest (atomically, last) recording the command line, the
-resolved configuration, the package version, wall-clock duration and the
-list of output files.  An ``--out`` that holds an earlier run's manifest or
-snapshots is refused.  ``report`` reads the diagnostics and checks them one
-for one against the snapshots the manifest lists (a mismatch is a data
-error); classification and the area fit read the diagnostics only, and a
-rescaling loads, rescales and writes one snapshot at a time, so neither
-command's memory grows with the number of snapshots.
+``simulate`` writes each snapshot as it is recorded, then the run's
+trajectory: the diagnostics and a JSON manifest (atomically, last) recording
+the command line, the resolved configuration, the package version,
+wall-clock duration and the list of output files.  An ``--out`` that holds an
+earlier run's manifest or snapshots is refused.  ``report`` reads the
+trajectory back and checks its records one for one against the snapshots the
+manifest lists; a mismatch, or a singular time that is not null or a finite
+number, is a data error.  Classification and the area fit read the records
+only, and a rescaling loads, rescales and writes one snapshot at a time, so
+neither command's memory grows with the number of snapshots.  A non-finite
+``--tj`` or ``--fit-window`` bound, or a window with lo >= hi, is a usage
+error, refused before anything is read or removed.
 ``verify`` writes only its CSV report, whose seed column reproduces it.
 Every command runs in one process, in a fixed order, so re-running with the
 same inputs reproduces all numeric outputs byte-for-byte.  Options may also
@@ -32,13 +35,13 @@ from .errors import DegenerateGeometryError
 from .flow import (
     FlowConfig,
     Trajectory,
-    blowup_type2_slices,
+    blowup_type2,
     classify_type,
     finish_records,
     fit_area_decay,
     iter_records,
     read_diagnostics_csv,
-    rescale_type1_slices,
+    rescale_type1,
     write_diagnostics_csv,
 )
 from .grid import ParamGrid
@@ -251,8 +254,8 @@ def cmd_simulate(args) -> int:
         print(f"degenerate geometry: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
 
-    records, T = finish_records(records, mode)
-    write_diagnostics_csv(records, os.path.join(out_dir, "diagnostics.csv"))
+    traj = finish_records(records, mode, stop_reason)
+    write_diagnostics_csv(traj.diagnostics, os.path.join(out_dir, "diagnostics.csv"))
     outputs.append("diagnostics.csv")
 
     _write_manifest(out_dir, {
@@ -268,9 +271,9 @@ def cmd_simulate(args) -> int:
             "snapshot_every": config.snapshot_every,
             "max_steps": config.max_steps, "blowup_cap": config.stop_on_blowup,
         },
-        "mode": mode,
-        "T_singular": T,
-        "stop_reason": stop_reason,
+        "mode": traj.mode,
+        "T_singular": traj.T_singular,
+        "stop_reason": traj.stop_reason,
         "duration_s": time.time() - started,
         "outputs": outputs,
     })
@@ -363,19 +366,16 @@ def _add_report(sub):
 
 
 def _read_run(in_dir: str) -> tuple[Trajectory, list[str]]:
-    """The run that wrote ``in_dir``: its records, as a trajectory that holds
-    no snapshot, and the paths of the snapshots its manifest lists, in that
-    order.  The records must pair with those snapshots one for one, each
-    row's t equal to the t in its snapshot's header (only the header line is
-    read), at strictly increasing times."""
+    """The trajectory of the run that wrote ``in_dir`` and the paths of the
+    snapshots its manifest lists, in that order.  The records must pair with
+    those snapshots one for one, each row's t equal to the t in its
+    snapshot's header (only the header line is read)."""
     manifest_path = os.path.join(in_dir, "manifest.json")
     try:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
         records = read_diagnostics_csv(os.path.join(in_dir, "diagnostics.csv"))
         paths = [os.path.join(in_dir, f) for f in manifest["outputs"] if f.startswith("snap_")]
-        if not paths:
-            raise ValueError("the manifest lists no snapshots")
         if len(records) != len(paths):
             raise ValueError(f"{len(records)} diagnostics rows against {len(paths)} snapshots")
         for r, path in zip(records, paths):
@@ -383,9 +383,7 @@ def _read_run(in_dir: str) -> tuple[Trajectory, list[str]]:
             if r.t != t:
                 raise ValueError(f"the diagnostics row at t={r.t!r} is paired with "
                                  f"{os.path.basename(path)} at t={t!r}")
-        if any(b.t <= a.t for a, b in zip(records, records[1:])):
-            raise ValueError("snapshot times must be strictly increasing")
-        traj = Trajectory(snapshots=[], diagnostics=records,
+        traj = Trajectory(diagnostics=records,
                           mode=manifest.get("mode", "Forward"),
                           T_singular=manifest.get("T_singular"),
                           stop_reason=manifest.get("stop_reason", "t_end"))
@@ -436,10 +434,14 @@ def cmd_report(args) -> int:
         window_txt = _resolve(args, "fit_window", None, str)
         window = (_parse_pair(window_txt, ":", (float, float), "window", "lo:hi")
                   if window_txt else None)
+        if window and not -math.inf < window[0] < window[1] < math.inf:
+            raise _UsageError(f"bad window {window_txt!r}; expected finite lo < hi")
         classify = _resolve(args, "classify", False, _switch)
         fit_area = _resolve(args, "fit_area", False, _switch)
         rescale = _resolve(args, "rescale", None, _choice(_RESCALES))
         tj = _resolve(args, "tj", None, float)
+        if tj is not None and not math.isfinite(tj):
+            raise _UsageError(f"--tj must be finite; got {tj}")
         n_tau = _resolve(args, "n_tau", 11, int)
         if n_tau < 1:
             raise _UsageError(f"--n-tau must be at least 1; got {n_tau}")
@@ -469,19 +471,12 @@ def cmd_report(args) -> int:
             print(f"area ~ c|t|^r fit: c={c_fit:.6g} r={r_fit:.4f}")
 
         if rescale:
-            times = [r.t for r in traj.diagnostics]
-
-            def load(i):    # a snapshot is read when a rescaling asks for it
-                return load_snapshot(paths[i])
+            load = lambda i: load_snapshot(paths[i])    # read when a rescaling asks
             if rescale == "type2":
-                stream = blowup_type2_slices(traj.diagnostics, times, load,
-                                             traj.mode, traj.T_singular)
-            else:
-                if tj is None:
-                    tj = times[0] / 2.0 if traj.mode == "Ancient" else None
-                    if tj is None or tj >= 0:
-                        raise ValueError("--tj is required for type1 on this trajectory")
-                stream = rescale_type1_slices(times, load, traj.mode, tj, n_tau)
+                stream = blowup_type2(traj, load)
+            else:   # t_j defaults to half the first record's time
+                t_j = traj.diagnostics[0].t / 2.0 if tj is None else tj
+                stream = rescale_type1(traj, load, t_j, n_tau)
             slices, L, _, base_time = stream
             sub = os.path.join(in_dir, f"rescale_{rescale}")
             _write_rescaled(slices, sub)

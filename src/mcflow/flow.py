@@ -35,13 +35,13 @@ estimated by extrapolating 1 / max|H|^2 linearly in t to its root).
 
 Runs and rescalings stream.  :func:`iter_records` is a generator that yields
 each recorded state with its record as soon as it is taken, so a caller can
-write the state and drop it; :func:`run` collects it into a ``Trajectory``.
-The forward-mode type-I quantity needs T, which only all the records give,
-so :func:`finish_records` completes the records at the end.
-``blowup_type2_slices`` and ``rescale_type1_slices`` read snapshots through an
-index function and yield one rescaled slice at a time; the type-2 base is
-searched among the snapshots whose recorded tIq is within a relative 1e-12
-of the largest.  ``blowup_type2`` and ``rescale_type1`` collect them.
+write the state and drop it.  The forward-mode type-I quantity needs T, which
+only all the records give, so :func:`finish_records` completes the records at
+the end and returns the run's ``Trajectory``: its records, record i
+describing the run's snapshot i.  :func:`blowup_type2` and
+:func:`rescale_type1` read snapshots through an index function and yield one
+rescaled slice at a time; the type-2 base is searched among the snapshots
+whose recorded tIq is within a relative 1e-12 of the largest.
 """
 
 from __future__ import annotations
@@ -67,20 +67,16 @@ __all__ = [
     "FlowConfig",
     "DiagnosticsRecord",
     "Trajectory",
-    "RescaleResult",
     "ClassifyResult",
     "cfl_dt",
     "step",
     "iter_records",
     "finish_records",
-    "run",
     "diagnostics",
     "fsigma_integral",
     "classify_type",
     "blowup_type2",
-    "blowup_type2_slices",
     "rescale_type1",
-    "rescale_type1_slices",
     "fit_area_decay",
     "write_diagnostics_csv",
     "read_diagnostics_csv",
@@ -142,9 +138,10 @@ class DiagnosticsRecord:
 
 @dataclass
 class Trajectory:
-    """Time-ordered snapshots plus diagnostics produced by a run."""
+    """A run's records: record i describes the run's snapshot i.  There is at
+    least one record, at strictly increasing times, and the singular time is
+    None or a finite number."""
 
-    snapshots: list[DiscreteImmersion]
     diagnostics: list[DiagnosticsRecord]
     mode: str = "Forward"
     T_singular: Optional[float] = None
@@ -153,29 +150,22 @@ class Trajectory:
     def __post_init__(self):
         if self.mode not in ("Ancient", "Forward"):
             raise ValueError("mode must be Ancient or Forward")
-        times = [s.t for s in self.snapshots]
+        if not self.diagnostics:
+            raise ValueError("a trajectory needs at least one record")
+        times = [r.t for r in self.diagnostics]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ValueError("snapshot times must be strictly increasing")
+        T = self.T_singular
+        try:    # isfinite raises TypeError on a string, OverflowError on a huge int
+            finite = T is None or (not isinstance(T, bool) and math.isfinite(T))
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise ValueError(f"the singular time must be null or a finite number; got {T!r}")
 
     @property
     def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.snapshots])
-
-
-@dataclass(frozen=True)
-class RescaleResult:
-    """A parabolically rescaled trajectory.
-
-    L is the curvature normalisation (|H|^2 at the base point for the
-    curvature-normalised transform, 1/(-t_j) for the type-I transform);
-    base_point is the flat node index of the blow-up centre (None for
-    type-I), base_time its time.
-    """
-
-    trajectory: Trajectory
-    L: float
-    base_point: Optional[int]
-    base_time: float
+        return np.array([r.t for r in self.diagnostics])
 
 
 @dataclass(frozen=True)
@@ -300,15 +290,14 @@ def _type1_weight(t, mode: str, T: Optional[float]):
 
 
 def diagnostics(im: DiscreteImmersion, mode: str = "Forward",
-                T: Optional[float] = None,
                 fields: ScalarFields | None = None) -> DiagnosticsRecord:
     """All scalar functionals of one time slice.
 
     minQ is measured against the pinching Q = |h|^2 - (4/(3n)) |H|^2 and phi
-    is the integral of f_sigma^p with sigma = PHI_SIGMA, p = PHI_P.  ``T`` is
-    the (estimated) singular time and is only used in Forward mode; the
-    type-I quantity is NaN when it is unknown.  ``fields`` is an extraction of
-    ``im`` already made; without it one is made here.
+    is the integral of f_sigma^p with sigma = PHI_SIGMA, p = PHI_P.  The
+    type-I quantity is NaN in Forward mode, where it needs the singular time
+    that only a whole run gives (see :func:`finish_records`).  ``fields`` is
+    an extraction of ``im`` already made; without it one is made here.
     """
     gf = fields if fields is not None else scalar_fields(im)
     ones = np.ones(im.grid.res)
@@ -326,12 +315,13 @@ def diagnostics(im: DiscreteImmersion, mode: str = "Forward",
         t=im.t, area=area, intH2=intH2, maxH=math.sqrt(maxH2),
         minH=math.sqrt(max(minH2, 0.0)), maxRatio=gf.max_ratio,
         minQ=float(neg_q.min()), phi=phi, gaussBonnet=gb,
-        tIq=_type1_weight(im.t, mode, T) * maxH2,
+        tIq=_type1_weight(im.t, mode, None) * maxH2,
     )
 
 
 def _estimate_singular_time(times: np.ndarray, maxH2: np.ndarray) -> Optional[float]:
-    """Root of a linear fit to 1 / max|H|^2 over the last quarter of records."""
+    """Root of a linear fit to 1 / max|H|^2 over the last quarter of records,
+    or None when the fit fails or its root is not finite."""
     if len(times) < 3 or not np.all(maxH2 > 0):
         return None
     m = max(3, len(times) // 4)
@@ -342,7 +332,8 @@ def _estimate_singular_time(times: np.ndarray, maxH2: np.ndarray) -> Optional[fl
         return None
     if slope >= 0:
         return None
-    return float(-intercept / slope)
+    T = float(-intercept / slope)
+    return T if math.isfinite(T) else None
 
 
 def _records(seed: DiscreteImmersion, config: FlowConfig, mode: str):
@@ -408,34 +399,18 @@ def iter_records(seed: DiscreteImmersion, config: FlowConfig, mode: str = "Forwa
         yield item
 
 
-def finish_records(records: list[DiagnosticsRecord], mode: str
-                   ) -> tuple[list[DiagnosticsRecord], Optional[float]]:
-    """A run's records with their type-I quantity, and the singular time T
-    that it used: in Forward mode T is estimated from all the records (None
-    when the fit fails), in Ancient mode the records are final and T is None."""
-    if mode != "Forward":
-        return records, None
-    T = _estimate_singular_time(np.array([r.t for r in records]),
-                                np.array([r.maxH ** 2 for r in records]))
-    return [replace(r, tIq=_type1_weight(r.t, mode, T) * r.maxH ** 2) for r in records], T
-
-
-def run(seed: DiscreteImmersion, config: FlowConfig, mode: str = "Forward") -> Trajectory:
-    """The records of :func:`iter_records` collected into a trajectory, each
-    state copied, with the records finished by :func:`finish_records`."""
-    snapshots, records = [], []
-    stream = iter_records(seed, config, mode)
-    while True:
-        try:
-            state, record = next(stream)
-        except StopIteration as end:
-            stop_reason = end.value
-            break
-        snapshots.append(state.copy())
-        records.append(record)
-    records, T = finish_records(records, mode)
-    return Trajectory(snapshots=snapshots, diagnostics=records, mode=mode,
-                      T_singular=T, stop_reason=stop_reason)
+def finish_records(records: list[DiagnosticsRecord], mode: str, stop_reason: str
+                   ) -> Trajectory:
+    """The trajectory of a run from the records of :func:`iter_records` and
+    its stop reason.  In Forward mode the singular time T is estimated from
+    all the records (None when the fit fails) and fills in each record's
+    type-I quantity; Ancient records are final and T is None."""
+    T = None
+    if mode == "Forward":
+        T = _estimate_singular_time(np.array([r.t for r in records]),
+                                    np.array([r.maxH ** 2 for r in records]))
+        records = [replace(r, tIq=_type1_weight(r.t, mode, T) * r.maxH ** 2) for r in records]
+    return Trajectory(diagnostics=records, mode=mode, T_singular=T, stop_reason=stop_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -479,36 +454,40 @@ def _transform_snapshot(im: DiscreteImmersion, scale: float,
                              t=new_t, wrap_offsets=wraps)
 
 
-def _type2_candidates(records: list[DiagnosticsRecord], times) -> range | list[int]:
+def _type2_candidates(records: list[DiagnosticsRecord]) -> range | list[int]:
     """Indices of the snapshots that can hold the type-2 base point: those
     whose recorded tIq lies within a relative 1e-12 of the largest.  A
     record's tIq is its snapshot's key q in Ancient mode, and within a few
     ulps of it in Forward mode, where it is built from the rounded max|H|.
-    Records that do not pair one for one with the snapshot ``times``, or
-    whose tIq are not all finite, leave every snapshot a candidate."""
+    Records whose tIq are not all finite (a hand-edited diagnostics file can
+    hold nan) leave every snapshot a candidate."""
     tiq = [r.tIq for r in records]
-    if ([r.t for r in records] != list(times)
-            or not all(math.isfinite(q) for q in tiq)):
-        return range(len(times))
+    if not all(math.isfinite(q) for q in tiq):
+        return range(len(tiq))
     top = max(tiq)
     return [i for i, q in enumerate(tiq) if q >= top - 1e-12 * abs(top)]
 
 
-def blowup_type2_slices(records: list[DiagnosticsRecord], times, snapshot_at,
-                        mode: str, T: Optional[float]):
-    """The curvature-normalised blow-up of :func:`blowup_type2`, one slice at
-    a time: ``(slices, L, base_point, base_time)``.
+def blowup_type2(traj: Trajectory, snapshot_at):
+    """Curvature-normalised blow-up about the space-time curvature maximum,
+    one slice at a time: ``(slices, L, base_point, base_time)``.
 
-    ``snapshot_at(i)`` gives the snapshot at ``times[i]``, and ``records``
-    the run's diagnostics.  The base is chosen by the exact key among the
-    candidates the records name (see :func:`_type2_candidates`); then
-    ``slices`` yields the rescaled snapshots in order, asking for each
-    snapshot once more, except the base, which it keeps.
+    ``snapshot_at(i)`` gives the snapshot of record i.  The base point
+    (x_j, t_j) maximises (-t)|H|^2 (ancient) or (T-t)|H|^2 (forward) over the
+    snapshots; ties break to the earliest time, then the lowest flat node
+    index.  Only the candidates the records name are read for this exact key
+    (see :func:`_type2_candidates`).  Snapshots transform as
+    F -> sqrt(L)(F - F(x_j, t_j)) with L = |H(x_j, t_j)|^2, times as
+    tau = (t - t_j) L, so the tau = 0 slice has max |H| = 1 up to roundoff
+    and the pinching ratio field is untouched.  ``slices`` yields the
+    rescaled snapshots in order, asking for each snapshot once more, except
+    the base, which it keeps; ``base_point`` is the base's flat node index.
     """
+    mode, T = traj.mode, traj.T_singular
     if mode == "Forward" and T is None:
         raise ValueError("forward-mode blow-up needs an estimated singular time")
     best = None  # (key, index, snapshot, flat_index, normH2_at_node)
-    for i in _type2_candidates(records, times):
+    for i in _type2_candidates(traj.diagnostics):
         s = snapshot_at(i)
         h2 = scalar_fields(s).normH2.reshape(-1)
         idx = int(np.argmax(h2))
@@ -521,55 +500,27 @@ def blowup_type2_slices(records: list[DiagnosticsRecord], times, snapshot_at,
     origin = base.positions.reshape(-1, base.ambient_dim)[x_j].copy()
 
     def slices():
-        for i in range(len(times)):
+        for i in range(len(traj.diagnostics)):
             s = base if i == j else snapshot_at(i)
             yield _transform_snapshot(s, scale, origin, (s.t - t_j) * L)
     return slices(), L, x_j, t_j
 
 
-def _collect(traj: Trajectory, stream) -> RescaleResult:
-    slices, L, base_point, base_time = stream
-    rtraj = Trajectory(snapshots=list(slices), diagnostics=[], mode=traj.mode,
-                       T_singular=None, stop_reason=traj.stop_reason)
-    return RescaleResult(trajectory=rtraj, L=L, base_point=base_point, base_time=base_time)
+def rescale_type1(traj: Trajectory, snapshot_at, t_j: float, n_tau: int = 11):
+    """Type-I rescaling F(x, -t_j tau) / sqrt(-t_j) on the window tau in
+    [-2, -1], one slice at a time: ``(slices, 1 / (-t_j), None, t_j)``.
 
-
-def blowup_type2(traj: Trajectory, window: Optional[tuple[float, float]] = None
-                 ) -> RescaleResult:
-    """Curvature-normalised blow-up about the space-time curvature maximum.
-
-    The base point (x_j, t_j) maximises (-t)|H|^2 (ancient) or (T-t)|H|^2
-    (forward) over the stored snapshots in the window; ties break to the
-    earliest time, then the lowest flat node index.  Snapshots transform as
-    F -> sqrt(L)(F - F(x_j, t_j)) with L = |H(x_j, t_j)|^2, times as
-    tau = (t - t_j) L, so the tau = 0 slice has max |H| = 1 up to roundoff
-    and the pinching ratio field is untouched.  Records that pair with the
-    snapshots narrow the search (see :func:`blowup_type2_slices`).
+    ``snapshot_at(i)`` gives the snapshot of record i.  Slices at the uniform
+    tau grid are built by per-node linear interpolation in t of the
+    snapshots, which must cover [2 t_j, t_j]; ``slices`` asks only for the
+    snapshots that its interpolation reads, each once while it is in use.
+    The arguments are checked before this returns.
     """
-    snaps, records = traj.snapshots, traj.diagnostics
-    if window is not None:
-        lo, hi = window
-        snaps = [s for s in snaps if lo <= s.t <= hi]
-        records = [r for r in records if lo <= r.t <= hi]
-    if not snaps:
-        raise ValueError("empty rescaling window")
-    return _collect(traj, blowup_type2_slices(records, [s.t for s in snaps], snaps.__getitem__,
-                                              traj.mode, traj.T_singular))
-
-
-def rescale_type1_slices(times, snapshot_at, mode: str, t_j: float, n_tau: int = 11):
-    """The type-I rescaling of :func:`rescale_type1`, one slice at a time:
-    ``(slices, L, None, t_j)``.
-
-    ``snapshot_at(i)`` gives the snapshot at ``times[i]``; ``slices`` asks
-    only for the snapshots that its interpolation reads, each once while it
-    is in use.  The arguments are checked before this returns.
-    """
-    if t_j >= 0:
-        raise ValueError("type-I rescaling requires t_j < 0")
-    if mode != "Ancient":
+    if traj.mode != "Ancient":
         raise ValueError("type-I rescaling applies to ancient-mode trajectories")
-    times = np.asarray(times, dtype=float)
+    if not t_j < 0:
+        raise ValueError(f"type-I rescaling requires t_j < 0; got {t_j!r}")
+    times = traj.times
     if times[0] > 2.0 * t_j + 1e-12 or times[-1] < t_j - 1e-12:
         raise ValueError(
             f"trajectory covers [{times[0]:.6g}, {times[-1]:.6g}] but the "
@@ -590,16 +541,6 @@ def rescale_type1_slices(times, snapshot_at, mode: str, t_j: float, n_tau: int =
             interp = pair[j - 1].with_positions(pos, t)
             yield _transform_snapshot(interp, scale, None, float(tau))
     return slices(), 1.0 / (-t_j), None, t_j
-
-
-def rescale_type1(traj: Trajectory, t_j: float, n_tau: int = 11) -> RescaleResult:
-    """Type-I rescaling F(x, -t_j tau) / sqrt(-t_j) on the window tau in [-2, -1].
-
-    Snapshots at the uniform tau grid are built by per-node linear
-    interpolation in t of the stored snapshots, which must cover
-    [2 t_j, t_j]."""
-    return _collect(traj, rescale_type1_slices(traj.times, traj.snapshots.__getitem__,
-                                               traj.mode, t_j, n_tau))
 
 
 def fit_area_decay(traj: Trajectory, window: Optional[tuple[float, float]] = None

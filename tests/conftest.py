@@ -1,4 +1,5 @@
-"""Shared fixtures: reference surfaces that are not solution seeds."""
+"""Shared fixtures: reference surfaces that are not solution seeds, and runs
+collected in memory."""
 
 import math
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from mcflow import DiagnosticsRecord, DiscreteImmersion, ParamGrid, Trajectory
-from mcflow.flow import _type1_weight
+from mcflow.flow import _type1_weight, finish_records, iter_records
 
 
 def ellipsoid_of_revolution(res, a=1.0, c=2.0, k=1):
@@ -43,7 +44,21 @@ def synthetic_trajectory(times, max_h2, mode="Ancient", T=None):
                               minQ=math.nan, phi=math.nan, gaussBonnet=None,
                               tIq=float(_type1_weight(t, mode, T) * h2))
             for t, h2 in zip(np.asarray(times, dtype=float), np.asarray(max_h2, dtype=float))]
-    return Trajectory(snapshots=[], diagnostics=recs, mode=mode, T_singular=T)
+    return Trajectory(diagnostics=recs, mode=mode, T_singular=T)
+
+
+def collect_run(seed, config, mode="Forward"):
+    """Every recorded state of a run, copied, and the run's trajectory: the
+    records of ``iter_records`` finished by ``finish_records``."""
+    snapshots, records = [], []
+    stream = iter_records(seed, config, mode)
+    while True:
+        try:
+            state, record = next(stream)
+        except StopIteration as end:
+            return snapshots, finish_records(records, mode, end.value)
+        snapshots.append(state.copy())
+        records.append(record)
 
 
 @pytest.fixture(scope="session")

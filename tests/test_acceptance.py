@@ -23,8 +23,8 @@ from mcflow import (
     cap_extinction_time,
     cap_radius,
     cylinder_law,
+    diagnostics,
     rescale_type1,
-    run,
     seed_immersion,
     sphere_law,
     fsigma_integral,
@@ -32,7 +32,7 @@ from mcflow import (
 from mcflow.curvature import batch_normal_curvature
 from mcflow.immersion import covariant_gradient_fields, geometry_fields, point_curvature_field
 from mcflow.verify import run_suite
-from conftest import cap_oracle_worst_error, ellipsoid_of_revolution
+from conftest import cap_oracle_worst_error, collect_run, ellipsoid_of_revolution
 
 
 def _report(num, text, elapsed, budget):
@@ -53,7 +53,7 @@ def quarter_area_runs():
         grid = ParamGrid("LatLongSphere", (64, 128))
         seed = seed_immersion(SolutionSpec(kind="Sphere", n=2, k=k, radius=1.0),
                               grid, 0.0)
-        out[k] = run(seed, FlowConfig(t_end=0.1875, cfl=0.2, snapshot_every=50))
+        out[k] = collect_run(seed, FlowConfig(t_end=0.1875, cfl=0.2, snapshot_every=50))
     return out, time.perf_counter() - t0
 
 
@@ -67,7 +67,7 @@ def perturbed_runs():
         seed = seed_immersion(
             SolutionSpec(kind="Sphere", n=2, k=1, radius=1.0,
                          perturb_amp=0.05, perturb_mode=2), grid, 0.0)
-        out[res] = run(seed, FlowConfig(t_end=0.15, cfl=0.2, snapshot_every=25))
+        out[res] = collect_run(seed, FlowConfig(t_end=0.15, cfl=0.2, snapshot_every=25))
     return out, time.perf_counter() - t0
 
 
@@ -80,7 +80,8 @@ def ancient_law_trajectory():
     spec = SolutionSpec(kind="Sphere", n=2, k=2)
     times = np.linspace(-2.4, -0.45, 1501)
     snaps = [seed_immersion(spec, grid, t) for t in times]
-    return Trajectory(snapshots=snaps, diagnostics=[], mode="Ancient")
+    return snaps, Trajectory(diagnostics=[diagnostics(s, mode="Ancient") for s in snaps],
+                             mode="Ancient")
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +156,11 @@ def test_criterion_04_exact_solution_regression():
 
 def test_criterion_05_flow_regression(quarter_area_runs):
     runs, elapsed = quarter_area_runs
-    for k, traj in runs.items():
+    for k, (snaps, traj) in runs.items():
         recs = traj.diagnostics
         assert traj.stop_reason == "t_end"
         # radius trace against sqrt(1 - 4t)
-        for snap in traj.snapshots:
+        for snap in snaps:
             r = np.linalg.norm(snap.positions, axis=-1)
             expect = math.sqrt(1.0 - 4.0 * snap.t)
             assert np.abs(r / expect - 1.0).max() <= 1e-2
@@ -180,7 +181,7 @@ def test_criterion_05_flow_regression(quarter_area_runs):
 def test_criterion_06_pinching_preservation(perturbed_runs):
     runs, elapsed = perturbed_runs
     finals = []
-    for res, traj in runs.items():
+    for res, (_, traj) in runs.items():
         recs = traj.diagnostics
         assert -recs[0].minQ < 0.0, f"seed not strictly pinched at {res}"
         for rec in recs:
@@ -200,12 +201,12 @@ def test_criterion_06_pinching_preservation(perturbed_runs):
 def test_criterion_07_fsigma_monotonicity(perturbed_runs):
     runs, _ = perturbed_runs
     t0 = time.perf_counter()
-    traj = runs[(64, 128)]
+    snaps, traj = runs[(64, 128)]
     phis = [r.phi for r in traj.diagnostics]
     drops = [b - a for a, b in zip(phis, phis[1:])]
     assert all(d <= 1e-8 for d in drops), f"phi increased by {max(drops)}"
     # companion series at (sigma, p) = (0.05, 40), recorded for the report
-    aux = [fsigma_integral(s, 0.05, 40.0)[0] for s in traj.snapshots[::10]]
+    aux = [fsigma_integral(s, 0.05, 40.0)[0] for s in snaps[::10]]
     print(f"\n    phi(0.1,10) from {phis[0]:.3e} to {phis[-1]:.3e}; "
           f"phi(0.05,40) series head {aux[:3]}")
     _report(7, "f_sigma integral non-increasing within 1e-8",
@@ -214,26 +215,26 @@ def test_criterion_07_fsigma_monotonicity(perturbed_runs):
 
 def test_criterion_08_rescaling_contracts(ancient_law_trajectory):
     t0 = time.perf_counter()
-    traj = ancient_law_trajectory
+    snaps, traj = ancient_law_trajectory
 
-    res2 = blowup_type2(traj)
-    tau0 = min(res2.trajectory.snapshots, key=lambda s: abs(s.t))
+    rescaled = list(blowup_type2(traj, snaps.__getitem__)[0])
+    tau0 = min(rescaled, key=lambda s: abs(s.t))
     assert abs(tau0.t) <= 1e-12
     gf = geometry_fields(tau0)
     assert abs(math.sqrt(gf.normH2.max()) - 1.0) <= 1e-10
-    mid = len(traj.snapshots) // 2
-    a = geometry_fields(traj.snapshots[mid])
-    b = geometry_fields(res2.trajectory.snapshots[mid])
+    mid = len(snaps) // 2
+    a = geometry_fields(snaps[mid])
+    b = geometry_fields(rescaled[mid])
     ratio_gap = np.abs(a.normh2 / a.normH2 - b.normh2 / b.normH2).max()
     assert ratio_gap <= 1e-12
 
     worst_radius = 0.0
     for tj in (-1.1, -0.8, -0.55):
-        res1 = rescale_type1(traj, tj, n_tau=11)
-        tail = res1.trajectory.snapshots[-1]      # tau = -1 slice
+        rescaled = list(rescale_type1(traj, snaps.__getitem__, tj, n_tau=11)[0])
+        tail = rescaled[-1]      # tau = -1 slice
         r = np.linalg.norm(tail.positions[..., :3], axis=-1)
         worst_radius = max(worst_radius, np.abs(r - 2.0).max())
-        for snap in res1.trajectory.snapshots:
+        for snap in rescaled:
             rr = np.linalg.norm(snap.positions[..., :3], axis=-1)
             assert np.abs(rr - math.sqrt(-4.0 * snap.t)).max() <= 1e-6
     assert worst_radius <= 1e-6

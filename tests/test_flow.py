@@ -20,7 +20,6 @@ from mcflow import (
     fit_area_decay,
     fsigma_integral,
     rescale_type1,
-    run,
     seed_immersion,
     sphere_law,
     step,
@@ -36,7 +35,7 @@ from mcflow.flow import (
     _zonal_cutoffs,
 )
 from mcflow.immersion import geometry_fields, scalar_fields
-from conftest import synthetic_trajectory
+from conftest import collect_run, synthetic_trajectory
 
 
 def sphere_seed(res=(32, 64), k=1, radius=1.0, amp=0.0, mode=2, t=0.0):
@@ -197,7 +196,7 @@ class TestPolarFilter:
 
 class TestRun:
     def test_sphere_area_law(self):
-        traj = run(sphere_seed((32, 64)), FlowConfig(t_end=0.1, snapshot_every=20))
+        _, traj = collect_run(sphere_seed((32, 64)), FlowConfig(t_end=0.1, snapshot_every=20))
         d = traj.diagnostics
         assert traj.stop_reason == "t_end"
         for rec in d:
@@ -206,16 +205,17 @@ class TestRun:
         assert all(b < a for a, b in zip(areas, areas[1:]))
 
     def test_t_end_before_any_step(self):
-        traj = run(sphere_seed(), FlowConfig(t_end=0.0))
-        assert len(traj.snapshots) == 1
+        snaps, traj = collect_run(sphere_seed(), FlowConfig(t_end=0.0))
+        assert len(snaps) == 1
         assert len(traj.diagnostics) == 1
 
     def test_max_steps_stop(self):
-        traj = run(sphere_seed(), FlowConfig(t_end=0.1, max_steps=3))
+        _, traj = collect_run(sphere_seed(), FlowConfig(t_end=0.1, max_steps=3))
         assert traj.stop_reason == "max_steps"
 
     def test_blowup_stop(self):
-        traj = run(sphere_seed((32, 64)), FlowConfig(t_end=0.24, stop_on_blowup=50.0))
+        config = FlowConfig(t_end=0.24, stop_on_blowup=50.0)
+        _, traj = collect_run(sphere_seed((32, 64)), config)
         assert traj.stop_reason == "blowup"
 
     def test_degenerate_seed_raises(self):
@@ -227,7 +227,7 @@ class TestRun:
         pos[..., 1] = np.sin(u)[:, None]    # collapsed along axis 1
         bad = DiscreteImmersion(grid=grid, n=2, k=1, positions=pos, t=0.0)
         with pytest.raises(DegenerateGeometryError):
-            run(bad, FlowConfig(t_end=0.1))
+            collect_run(bad, FlowConfig(t_end=0.1))
 
     def test_mid_run_degeneracy_keeps_last_good_snapshot(self, monkeypatch):
         import mcflow.flow as flow_mod
@@ -242,10 +242,11 @@ class TestRun:
             return real(im, *args, **kwargs)
 
         monkeypatch.setattr(flow_mod, "scalar_fields", flaky)
-        traj = run(sphere_seed((16, 32)), FlowConfig(t_end=0.2, snapshot_every=5))
+        snaps, traj = collect_run(sphere_seed((16, 32)),
+                                  FlowConfig(t_end=0.2, snapshot_every=5))
         assert traj.stop_reason == "degenerate"
         # records at steps 0, 5, ..., 25; step 30 never became a good state
-        assert len(traj.snapshots) == len(traj.diagnostics) == 6
+        assert len(snaps) == len(traj.diagnostics) == 6
         # every recorded slice has usable diagnostics
         assert all(np.isfinite(r.area) for r in traj.diagnostics)
 
@@ -262,15 +263,16 @@ class TestRun:
             return np.full_like(out, np.nan) if calls["n"] == 3 * 7 + 2 else out
 
         monkeypatch.setattr(flow_mod, "mean_curvature_vector", blowing)
-        traj = run(sphere_seed((16, 32)), FlowConfig(t_end=0.2, snapshot_every=5))
+        snaps, traj = collect_run(sphere_seed((16, 32)),
+                                  FlowConfig(t_end=0.2, snapshot_every=5))
         assert traj.stop_reason == "degenerate"
-        assert [len(traj.snapshots), len(traj.diagnostics)] == [2, 2]   # steps 0 and 5
+        assert [len(snaps), len(traj.diagnostics)] == [2, 2]   # steps 0 and 5
 
     def test_step_that_leaves_t_unchanged_is_degenerate(self):
         config = FlowConfig(t_end=-0.9, cfl=1e-300, max_steps=50)
-        traj = run(sphere_seed((16, 32), t=-1.0), config)
+        snaps, traj = collect_run(sphere_seed((16, 32), t=-1.0), config)
         assert traj.stop_reason == "degenerate"
-        assert len(traj.snapshots) == 1
+        assert len(snaps) == 1
 
     @pytest.mark.parametrize("cap", [math.nan, -1.0, 0.0])
     def test_blowup_cap_must_be_positive(self, cap):
@@ -286,15 +288,22 @@ class TestRun:
         assert _estimate_singular_time(np.array([0.0, 0.1, 0.2]), h2 * np.nan) is None
         assert _estimate_singular_time(np.array([0.0, 0.1, 0.2]), h2) is not None
 
+    @pytest.mark.parametrize("fit", [(-1e-300, 1e10), (math.nan, 1.0)])
+    def test_singular_time_root_must_be_finite(self, monkeypatch, fit):
+        from mcflow.flow import _estimate_singular_time
+        monkeypatch.setattr(np, "polyfit", lambda x, y, deg: fit)
+        assert _estimate_singular_time(np.array([0.0, 0.1, 0.2]),
+                                       np.array([1.0, 1.5, 2.0])) is None
+
     def test_forward_singular_time_estimate(self):
-        traj = run(sphere_seed((32, 64)), FlowConfig(t_end=0.15, snapshot_every=20))
+        _, traj = collect_run(sphere_seed((32, 64)), FlowConfig(t_end=0.15, snapshot_every=20))
         assert traj.T_singular == pytest.approx(0.25, abs=2e-3)
         for rec in traj.diagnostics:
             assert rec.tIq == pytest.approx(1.0, abs=2e-2)
 
     def test_ancient_mode_tiq(self):
         seed = sphere_seed((32, 64), t=-0.25)  # law radius sqrt(1) at t=-1/4
-        traj = run(seed, FlowConfig(t_end=-0.1, snapshot_every=10), mode="Ancient")
+        _, traj = collect_run(seed, FlowConfig(t_end=-0.1, snapshot_every=10), mode="Ancient")
         for rec in traj.diagnostics:
             assert rec.tIq == pytest.approx(1.0, abs=1e-2)
 
@@ -350,7 +359,7 @@ class TestFsigma:
 
     def test_observational_monotonicity_short_run(self):
         seed = sphere_seed((32, 64), amp=0.05)
-        traj = run(seed, FlowConfig(t_end=0.06, snapshot_every=25))
+        _, traj = collect_run(seed, FlowConfig(t_end=0.06, snapshot_every=25))
         phis = [r.phi for r in traj.diagnostics]
         assert all(b <= a + 1e-8 for a, b in zip(phis, phis[1:]))
 
@@ -390,70 +399,83 @@ class TestClassify:
 
 
 def law_trajectory(res=(24, 48), k=2, t0=-2.4, t1=-0.4, count=500):
+    """Exact-law sphere snapshots and their Ancient trajectory."""
     grid = ParamGrid("LatLongSphere", res)
     spec = SolutionSpec(kind="Sphere", n=2, k=k)
-    times = np.linspace(t0, t1, count)
-    snaps = [seed_immersion(spec, grid, t) for t in times]
-    return Trajectory(snapshots=snaps, diagnostics=[], mode="Ancient")
+    snaps = [seed_immersion(spec, grid, t) for t in np.linspace(t0, t1, count)]
+    return snaps, Trajectory(diagnostics=[diagnostics(s, mode="Ancient") for s in snaps],
+                             mode="Ancient")
+
+
+class TestTrajectory:
+    def test_empty_trajectory_is_refused(self):
+        with pytest.raises(ValueError, match="at least one record"):
+            Trajectory(diagnostics=[], mode="Ancient")
+
+    def test_times_must_increase(self):
+        _, traj = law_trajectory(count=3)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            Trajectory(diagnostics=traj.diagnostics[::-1], mode="Ancient")
+
+    @pytest.mark.parametrize("T", ["0.25", math.nan, math.inf, True])
+    def test_singular_time_must_be_null_or_finite(self, T):
+        _, traj = law_trajectory(count=3)
+        with pytest.raises(ValueError, match="singular time"):
+            Trajectory(diagnostics=traj.diagnostics, T_singular=T)
+        assert Trajectory(diagnostics=traj.diagnostics, T_singular=1).T_singular == 1
 
 
 class TestRescaling:
     def test_type2_normalisation_and_ratio_invariance(self):
-        traj = law_trajectory(count=120)
-        res = blowup_type2(traj)
-        tau0 = min(res.trajectory.snapshots, key=lambda s: abs(s.t))
+        snaps, traj = law_trajectory(count=120)
+        slices, _, _, _ = blowup_type2(traj, snaps.__getitem__)
+        rescaled = list(slices)
+        tau0 = min(rescaled, key=lambda s: abs(s.t))
         assert abs(tau0.t) <= 1e-12
         gf = geometry_fields(tau0)
         assert math.sqrt(gf.normH2.max()) == pytest.approx(1.0, abs=1e-10)
-        mid = len(traj.snapshots) // 2
-        a = geometry_fields(traj.snapshots[mid])
-        b = geometry_fields(res.trajectory.snapshots[mid])
+        mid = len(snaps) // 2
+        a = geometry_fields(snaps[mid])
+        b = geometry_fields(rescaled[mid])
         assert np.abs(a.normh2 / a.normH2 - b.normh2 / b.normH2).max() <= 1e-12
 
     def test_type2_time_relabelling(self):
-        traj = law_trajectory(count=60)
-        res = blowup_type2(traj)
+        snaps, traj = law_trajectory(count=60)
+        slices, L, _, _ = blowup_type2(traj, snaps.__getitem__)
         dts = np.diff(traj.times)
-        dtaus = np.diff(res.trajectory.times)
-        assert np.abs(dtaus - dts * res.L).max() <= 1e-12 * res.L
-
-    def test_type2_window_filters_and_empty_raises(self):
-        traj = law_trajectory(count=60)
-        res = blowup_type2(traj, window=(-2.0, -1.0))
-        assert res.base_time <= -1.0
-        with pytest.raises(ValueError):
-            blowup_type2(traj, window=(5.0, 6.0))
+        dtaus = np.diff([s.t for s in slices])
+        assert np.abs(dtaus - dts * L).max() <= 1e-12 * L
 
     def test_type1_sphere_constant_radius(self):
-        traj = law_trajectory(count=900)
+        snaps, traj = law_trajectory(count=900)
         for tj in (-1.1, -0.8, -0.55):
-            res = rescale_type1(traj, tj, n_tau=9)
-            for snap in res.trajectory.snapshots:
+            slices, _, _, _ = rescale_type1(traj, snaps.__getitem__, tj, n_tau=9)
+            for snap in slices:
                 r = np.linalg.norm(snap.positions[..., :3], axis=-1)
                 assert np.abs(r - math.sqrt(-4.0 * snap.t)).max() <= 1e-6
 
     def test_type1_identity_slice(self):
         # count chosen so the stored time grid contains t = -1 exactly
-        traj = law_trajectory(count=501)
-        res = rescale_type1(traj, -1.0, n_tau=3)
-        final = res.trajectory.snapshots[-1]   # tau = -1 slice of t_j = -1
-        src = min(traj.snapshots, key=lambda s: abs(s.t + 1.0))
+        snaps, traj = law_trajectory(count=501)
+        slices, _, _, _ = rescale_type1(traj, snaps.__getitem__, -1.0, n_tau=3)
+        final = list(slices)[-1]   # tau = -1 slice of t_j = -1
+        src = min(snaps, key=lambda s: abs(s.t + 1.0))
         assert abs(src.t + 1.0) <= 1e-12
         assert np.abs(final.positions - src.positions).max() <= 1e-12
 
     def test_type1_ratio_invariance(self):
-        traj = law_trajectory(count=400)
-        res = rescale_type1(traj, -0.9, n_tau=5)
-        a = geometry_fields(traj.snapshots[200])
-        b = geometry_fields(res.trajectory.snapshots[0])
+        snaps, traj = law_trajectory(count=400)
+        slices, _, _, _ = rescale_type1(traj, snaps.__getitem__, -0.9, n_tau=5)
+        a = geometry_fields(snaps[200])
+        b = geometry_fields(next(slices))
         ra = a.normh2 / a.normH2
         rb = b.normh2 / b.normH2
         assert np.abs(ra - rb).max() <= 1e-12
 
     def test_type1_requires_coverage(self):
-        traj = law_trajectory(t0=-1.0, t1=-0.4, count=60)
+        snaps, traj = law_trajectory(t0=-1.0, t1=-0.4, count=60)
         with pytest.raises(ValueError):
-            rescale_type1(traj, -0.9)
+            rescale_type1(traj, snaps.__getitem__, -0.9)
 
 
 class TestAreaDecayFit:
@@ -463,7 +485,7 @@ class TestAreaDecayFit:
         times = np.linspace(-3.0, -0.5, 40)
         snaps = [seed_immersion(spec, grid, t) for t in times]
         recs = [diagnostics(s, mode="Ancient") for s in snaps]
-        traj = Trajectory(snapshots=snaps, diagnostics=recs, mode="Ancient")
+        traj = Trajectory(diagnostics=recs, mode="Ancient")
         c, r = fit_area_decay(traj)
         assert r == pytest.approx(1.0, abs=0.02)      # area ~ 8 pi n |t|
         assert c == pytest.approx(16 * math.pi, rel=0.02)

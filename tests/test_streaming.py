@@ -1,12 +1,13 @@
-"""Streamed ``simulate`` and ``report``: the files of the in-memory path byte
-for byte, the type-2 base of ``blowup_type2``, and memory that stays flat as
-the records grow."""
+"""Streamed ``simulate`` and ``report``: the files of a run collected in
+memory byte for byte, the type-2 base of an exhaustive search, and memory
+that stays flat as the records grow."""
 
 import json
 import math
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import mcflow.cli as cli
@@ -19,12 +20,12 @@ from mcflow.flow import (
     diagnostics,
     read_diagnostics_csv,
     rescale_type1,
-    run,
     write_diagnostics_csv,
 )
 from mcflow.grid import ParamGrid
 from mcflow.immersion import load_snapshot, save_snapshot, scalar_fields
 from mcflow.solutions import SolutionSpec, seed_immersion
+from conftest import collect_run
 
 
 def run_cli(*argv):
@@ -37,27 +38,35 @@ def tree(root):
             for p in sorted(root.rglob("*")) if p.is_file() and p.name != "manifest.json"}
 
 
-def write_in_memory(traj, rescaled, rescale, out):
-    """The files of ``simulate`` and ``report --rescale``, written from an
-    in-memory trajectory and its rescaling."""
+def write_in_memory(snaps, traj, slices, rescale, out):
+    """The files of ``simulate`` and ``report --rescale``, written from a run's
+    snapshots in a list, its trajectory and its rescaled slices."""
     out.mkdir()
-    for i, snap in enumerate(traj.snapshots):
+    for i, snap in enumerate(snaps):
         save_snapshot(snap, out / f"snap_{i:06d}.txt")
     write_diagnostics_csv(traj.diagnostics, out / "diagnostics.csv")
     sub = out / f"rescale_{rescale}"
     sub.mkdir()
     lines = ["tau,maxH,maxRatio"]
-    for i, snap in enumerate(rescaled.trajectory.snapshots):
+    for i, snap in enumerate(slices):
         save_snapshot(snap, sub / f"snap_{i:06d}.txt")
         gf = scalar_fields(snap)
         lines.append(f"{snap.t:.17g},{math.sqrt(gf.normH2.max()):.17g},{gf.max_ratio:.17g}")
     (sub / "summary.csv").write_text("\n".join(lines) + "\n")
 
 
-def without_records(traj):
-    """The trajectory's snapshots alone: every snapshot is a type-2 candidate."""
-    return Trajectory(snapshots=traj.snapshots, diagnostics=[], mode=traj.mode,
-                      T_singular=traj.T_singular, stop_reason=traj.stop_reason)
+def exhaustive_base(snaps, mode, T):
+    """The type-2 base ``(L, node, t)`` by the exact key (-q, t, node) over
+    every snapshot, with q = (-t) max|H|^2 (Ancient) or (T - t) max|H|^2."""
+    best = None
+    for s in snaps:
+        h2 = scalar_fields(s).normH2.reshape(-1)
+        idx = int(np.argmax(h2))
+        q = (-s.t if mode == "Ancient" else T - s.t) * float(h2[idx])
+        if best is None or (-q, s.t, idx) < best[0]:
+            best = (-q, s.t, idx), float(h2[idx])
+    (_, t, idx), L = best
+    return L, idx, t
 
 
 # name: (seed spec, grid, mode, t0, config, simulate argv, report argv)
@@ -90,12 +99,13 @@ def test_streamed_files_match_the_in_memory_path(tmp_path, name):
     assert run_cli("simulate", *sim_argv, "--out", streamed) == 0
     assert run_cli("report", "--in", streamed, *report_argv) == 0
 
-    traj = run(seed_immersion(spec, ParamGrid("LatLongSphere", res), t0), config, mode=mode)
+    snaps, traj = collect_run(seed_immersion(spec, ParamGrid("LatLongSphere", res), t0),
+                              config, mode=mode)
     if report_argv[1] == "type2":
-        rescaled = blowup_type2(without_records(traj))
+        slices, *_ = blowup_type2(traj, snaps.__getitem__)
     else:
-        rescaled = rescale_type1(traj, float(report_argv[3]))
-    write_in_memory(traj, rescaled, report_argv[1], tmp_path / "in_memory")
+        slices, *_ = rescale_type1(traj, snaps.__getitem__, float(report_argv[3]))
+    write_in_memory(snaps, traj, slices, report_argv[1], tmp_path / "in_memory")
 
     got, want = tree(streamed), tree(tmp_path / "in_memory")
     assert sorted(got) == sorted(want)
@@ -105,21 +115,21 @@ def test_streamed_files_match_the_in_memory_path(tmp_path, name):
 def spy_on_base(monkeypatch):
     """The (L, base point, base time) that ``report`` chose, once it runs."""
     seen = {}
-    real = cli.blowup_type2_slices
+    real = cli.blowup_type2
 
     def spy(*args, **kwargs):
         out = real(*args, **kwargs)
         seen["base"] = out[1:]
         return out
-    monkeypatch.setattr(cli, "blowup_type2_slices", spy)
+    monkeypatch.setattr(cli, "blowup_type2", spy)
     return seen
 
 
 def load_run(out):
     manifest = json.loads((out / "manifest.json").read_text())
     snaps = [load_snapshot(out / f) for f in manifest["outputs"] if f.startswith("snap_")]
-    return Trajectory(snapshots=snaps, diagnostics=read_diagnostics_csv(out / "diagnostics.csv"),
-                      mode=manifest["mode"], T_singular=manifest["T_singular"])
+    return snaps, Trajectory(diagnostics=read_diagnostics_csv(out / "diagnostics.csv"),
+                             mode=manifest["mode"], T_singular=manifest["T_singular"])
 
 
 def test_report_base_matches_blowup_type2_on_a_forward_run(tmp_path, monkeypatch):
@@ -127,14 +137,13 @@ def test_report_base_matches_blowup_type2_on_a_forward_run(tmp_path, monkeypatch
     assert run_cli("simulate", "--spec", "sphere", "--k", "2", "--grid", "16x32",
                    "--perturb", "0.05:2", "--t-end", "0.1", "--snapshot-every", "3",
                    "--out", out) == 0
-    traj = load_run(out)
+    snaps, traj = load_run(out)
     assert traj.mode == "Forward" and traj.T_singular is not None
     # the records narrow the search: they name fewer snapshots than the run holds
-    assert 0 < len(_type2_candidates(traj.diagnostics, traj.times)) < len(traj.snapshots)
+    assert 0 < len(_type2_candidates(traj.diagnostics)) < len(snaps)
     seen = spy_on_base(monkeypatch)
     assert run_cli("report", "--in", out, "--rescale", "type2") == 0
-    want = blowup_type2(without_records(traj))
-    assert seen["base"] == (want.L, want.base_point, want.base_time)
+    assert seen["base"] == exhaustive_base(snaps, traj.mode, traj.T_singular)
 
 
 def test_near_tie_is_decided_by_the_exact_key(tmp_path, monkeypatch):
@@ -148,14 +157,14 @@ def test_near_tie_is_decided_by_the_exact_key(tmp_path, monkeypatch):
     a, b = seed_immersion(spec, grid, -1.0), seed_immersion(spec, grid, -0.5)
     snaps = [a, b, a.with_positions(a.positions, -0.25)]
     records = [diagnostics(s, mode="Ancient") for s in snaps]
-    want = blowup_type2(Trajectory(snapshots=snaps, diagnostics=[], mode="Ancient"))
-    win = [s.t for s in snaps].index(want.base_time)
+    want = exhaustive_base(snaps, "Ancient", None)
+    win = [s.t for s in snaps].index(want[2])
     lose = 1 - win
     assert win in (0, 1)
     # the records put the exact loser 5e-13 above the winner
     records[lose] = replace(records[lose], tIq=records[win].tIq * (1.0 + 5e-13))
     assert max(range(3), key=lambda i: records[i].tIq) == lose
-    assert list(_type2_candidates(records, [s.t for s in snaps])) == [0, 1]
+    assert list(_type2_candidates(records)) == [0, 1]
 
     out = tmp_path / "tie"
     out.mkdir()
@@ -168,7 +177,7 @@ def test_near_tie_is_decided_by_the_exact_key(tmp_path, monkeypatch):
         "outputs": names + ["diagnostics.csv"]}))
     seen = spy_on_base(monkeypatch)
     assert run_cli("report", "--in", out, "--rescale", "type2") == 0
-    assert seen["base"] == (want.L, want.base_point, want.base_time)
+    assert seen["base"] == want
 
 
 # a generous bound on what one record costs the commands: its ten floats

@@ -3,6 +3,7 @@ codes, manifests, and byte-level determinism."""
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -448,7 +449,7 @@ class TestCliReport:
         # and its node block does not parse
         from mcflow.flow import _type2_candidates, read_diagnostics_csv
         records = read_diagnostics_csv(run_dir / "diagnostics.csv")
-        candidates = _type2_candidates(records, [r.t for r in records])
+        candidates = _type2_candidates(records)
         bad = max(set(range(len(records))) - set(candidates))
         assert bad > 0
         path = sorted(run_dir.glob("snap_*.txt"))[bad]
@@ -481,6 +482,52 @@ class TestCliReport:
         err = capsys.readouterr().err
         assert err == "usage error: bad window '0.1'; expected lo:hi\n"
         assert not (run_dir / "area_fit.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("--rescale", "type1", "--tj", "nan"),
+        ("--rescale", "type1", "--tj=-inf"),
+        ("--fit-area-decay", "--fit-window", "nan:1"),
+        ("--fit-area-decay", "--fit-window", "0:inf"),
+        ("--fit-area-decay", "--fit-window", "0.1:0.1"),
+        ("--fit-area-decay", "--fit-window", "0.2:0.1"),
+    ])
+    def test_non_finite_or_empty_bound_is_usage_error(self, run_dir, capsys, argv):
+        capsys.readouterr()
+        assert run_cli("report", "--in", str(run_dir), *argv) == 64
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert not (run_dir / "area_fit.csv").exists()
+        assert not (run_dir / "rescale_type1").exists()
+
+    def test_tj_nan_leaves_an_earlier_report_in_place(self, tmp_path, capsys):
+        out = tmp_path / "anc"
+        assert run_cli("simulate", "--spec", "sphere", "--grid", "8x16", "--mode", "ancient",
+                       "--t0", "-0.25", "--t-end", "-0.12", "--snapshot-every", "2",
+                       "--out", str(out)) == 0
+        assert run_cli("report", "--in", str(out), "--rescale", "type1") == 0
+        sub = out / "rescale_type1"
+        before = {p.name: p.read_bytes() for p in sub.iterdir()}
+        assert len([f for f in before if f.startswith("snap_")]) == 11
+        capsys.readouterr()
+        assert run_cli("report", "--in", str(out), "--rescale", "type1", "--tj", "nan") == 64
+        err = capsys.readouterr().err
+        assert err == "usage error: --tj must be finite; got nan\n"
+        assert {p.name: p.read_bytes() for p in sub.iterdir()} == before
+
+    @pytest.mark.parametrize("T", ["0.25", math.nan, True, 10 ** 400],
+                             ids=["string", "nan", "bool", "huge-int"])
+    def test_singular_time_that_is_not_a_finite_number_is_data_error(self, run_dir, capsys,
+                                                                      T):
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["T_singular"] = T
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("report", "--in", str(run_dir), "--rescale", "type2") == 65
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert "singular time" in err
+        assert not (run_dir / "rescale_type2").exists()
 
     def test_config_file_sets_report_options(self, run_dir, tmp_path):
         outputs = ("classify.csv", "rescale_type2/summary.csv")
