@@ -65,6 +65,22 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
 
+    def parse_known_args(self, args=None, namespace=None):
+        """As argparse, but an option that takes a value, named in full or
+        abbreviated, reads a next token that starts with one '-' and names no
+        option (``--tj -inf``, ``--fit-window -0.95:-0.91``) as its value."""
+        names = {s for a in self._actions for s in a.option_strings}
+        takes = [s for a in self._actions if a.nargs is None for s in a.option_strings]
+        joined = []
+        for tok in args if args is not None else sys.argv[1:]:
+            prev = joined[-1] if joined else ""
+            if (len(prev) > 2 and any(s.startswith(prev) for s in takes)
+                    and tok.startswith("-") and not tok.startswith("--") and tok not in names):
+                joined[-1] += "=" + tok
+            else:
+                joined.append(tok)
+        return super().parse_known_args(joined, namespace)
+
 
 def _parse_pair(text: str, sep: str, casts, what: str, form: str) -> tuple:
     """Two values separated by ``sep`` (case-insensitive), cast by ``casts``;

@@ -9,10 +9,13 @@ to a sliver whose acceptance probability is effectively zero for the sample
 counts the suites need.
 
 Plain and pinched batches are built in place, in the array the generator
-fills: no step makes a second array of the batch's size, so a batch's peak
-memory is about its own size.  The sphere-background batches are built the
-same way, then rotated sample-last in two buffers of the batch's size, so
-their peak is about two and a half batches.
+fills: no step makes a second array of the batch's size.  The
+sphere-background batches are built the same way, then rotated sample-last
+in two buffers of the batch's size, so their peak is about two and a half
+batches.  A sampler given ``out``, a flat float64 buffer of a batch's size
+that the caller draws every batch into, fills its leading entries where it
+would allocate a batch: the draw is the same, and the tensors returned are
+views of ``out`` that last until the next draw into it.
 
 All samplers take an explicit ``numpy.random.Generator``; suites derive their
 generators from a recorded base seed so every report is reproducible.
@@ -45,14 +48,15 @@ def generator(seed: int, *subkeys: int) -> np.random.Generator:
 _BLOCK = 1024
 
 
-def symmetric_tensors(rng: np.random.Generator, count: int, n: int, k: int) -> np.ndarray:
+def symmetric_tensors(rng: np.random.Generator, count: int, n: int, k: int,
+                      out=None) -> np.ndarray:
     """i.i.d. standard normal entries, symmetrised in (i, j); shape (count, n, n, k).
 
     The draw is symmetrised in place, in the array the generator fills, one
     block of samples at a time: each entry becomes (a_ij + a_ji) / 2, and
     the only temporary is one block's a + a^T.
     """
-    h = rng.standard_normal((count, n, n, k))
+    h = rng.standard_normal(out=_array((count, n, n, k), out))
     for start in range(0, count, _BLOCK):
         b = h[start:start + _BLOCK]
         np.divide(b + b.transpose(0, 2, 1, 3), 2.0, out=b)
@@ -73,7 +77,7 @@ def _magnitudes(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 def pinched_tensors(rng: np.random.Generator, count: int, n: int, k: int,
-                    ratio_bound: float) -> np.ndarray:
+                    ratio_bound: float, out=None) -> np.ndarray:
     """Samples with |H| > 0 and |h|^2 <= ratio_bound * |H|^2 (strict a.s.).
 
     The traceless part is drawn isotropically and scaled to a uniform fraction
@@ -91,7 +95,7 @@ def pinched_tensors(rng: np.random.Generator, count: int, n: int, k: int,
     # (a basic slice) at a time: the same elementwise arithmetic as
     # batch_traceless and h0 * scale + eye * hvec / n, where the identity is
     # nonzero.  scale and hvec are built in place in u and hdir.
-    h0 = symmetric_tensors(rng, count, n, k)
+    h0 = symmetric_tensors(rng, count, n, k, out)
     mean = batch_mean_vector(h0) / n
     for i in range(n):
         h0[:, i, i, :] -= mean
@@ -119,7 +123,7 @@ def pinched_tensors(rng: np.random.Generator, count: int, n: int, k: int,
 
 
 def sphere_pinched_tensors(rng: np.random.Generator, count: int, n: int, k: int,
-                           h0sq_cap) -> np.ndarray:
+                           h0sq_cap, out=None) -> np.ndarray:
     """Samples built in the adapted frame, then randomly rotated.
 
     The first slice is a random diagonal with trace |H| (so the mean curvature
@@ -142,7 +146,7 @@ def sphere_pinched_tensors(rng: np.random.Generator, count: int, n: int, k: int,
     h[:, np.arange(n), np.arange(n), 0] = diag
     del diag
     if k > 1:
-        rest = symmetric_tensors(rng, count, n, k - 1)
+        rest = symmetric_tensors(rng, count, n, k - 1, out)
         mean = batch_mean_vector(rest) / n
         for i in range(n):
             rest[:, i, i, :] -= mean
@@ -157,12 +161,12 @@ def sphere_pinched_tensors(rng: np.random.Generator, count: int, n: int, k: int,
     h[:, np.arange(n), np.arange(n), 0] += hmag[:, None] / n
 
     # the batch-last copies replace h and the rotations, and the products
-    # reuse h's buffer
-    h = _batch_last(h)
-    o_tan = _batch_last(random_rotations(rng, count, n))
-    o_nor = _batch_last(random_rotations(rng, count, k))
+    # reuse h's buffer; with ``out``, h's copy and the result are made there
+    h = _moved(h, 0, -1, out)
+    o_tan = _moved(random_rotations(rng, count, n), 0, -1)
+    o_nor = _moved(random_rotations(rng, count, k), 0, -1)
     h = _rotate_batch_last(h, o_tan, o_nor)
-    return _batch_first(h)
+    return _moved(h, -1, 0, out)
 
 
 def random_rotations(rng: np.random.Generator, count: int, d: int) -> np.ndarray:
@@ -176,13 +180,18 @@ def random_rotations(rng: np.random.Generator, count: int, d: int) -> np.ndarray
     return q * sign[:, None, :]
 
 
-def _batch_last(a: np.ndarray) -> np.ndarray:
-    """A C-contiguous copy of ``a`` with the sample axis moved last."""
-    return np.moveaxis(a, 0, -1).copy()
+def _array(shape, out=None) -> np.ndarray:
+    """A float64 array of ``shape``: the leading entries of ``out``, or new."""
+    return np.empty(shape) if out is None else out[:int(np.prod(shape))].reshape(shape)
 
 
-def _batch_first(a: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+def _moved(a: np.ndarray, src: int, dst: int, out=None) -> np.ndarray:
+    """A C-contiguous copy of ``a`` with axis ``src`` moved to ``dst``: with
+    the sample axis 0 moved last (-1), or back."""
+    a = np.moveaxis(a, src, dst)
+    copy = _array(a.shape, out)
+    np.copyto(copy, a)
+    return copy
 
 
 def _rotate_batch_last(hz: np.ndarray, o_t: np.ndarray, o_n: np.ndarray) -> np.ndarray:
@@ -203,5 +212,5 @@ def rotate_tensors(h: np.ndarray, o_tan: np.ndarray, o_nor: np.ndarray) -> np.nd
     is moved last so that each product's inner loop runs over the batch;
     the products take turns in two buffers of the batch's size.
     """
-    return _batch_first(_rotate_batch_last(_batch_last(h), _batch_last(o_tan),
-                                           _batch_last(o_nor)))
+    return _moved(_rotate_batch_last(_moved(h, 0, -1), _moved(o_tan, 0, -1),
+                                     _moved(o_nor, 0, -1)), -1, 0)

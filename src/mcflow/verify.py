@@ -15,14 +15,16 @@ n = 4 case-1 cap needs delta <= 2) or where the claim is not made (f <= 1
 needs n(n-1)(1-eps) >= 2).
 
 The suites are the entries of ``_TABLE``: a cell builder (options -> (label,
-n, k, params)), a batch function ((rng, take, n, k, params) -> (margins,
-samples drawn)), the options the claim reads, the violation rule (not
-margin >= -tol, or not margin > -tol for a strict claim) and the least n of
-the claim.  One loop, ``_run``, draws each cell from its own generator,
+n, k, params)), a batch function ((rng, take, n, k, params[, out]) ->
+(margins, samples drawn)), the options the claim reads, the violation rule
+(not margin >= -tol, or not margin > -tol for a strict claim) and the least n
+of the claim.  One loop, ``_run``, draws each cell from its own generator,
 derived from the base seed, so a report is reproducible from its seed column
-alone.  A run with an option its suite does not read, or that no cell of
-the run reads (``delta`` without an n = 4 cell), no cell, fewer samples
-than cells, a smaller n or k < 1 raises ``ValueError`` before it samples;
+alone.  It owns one draw buffer, ``out``, sized for the run's largest batch,
+and every batch draws into it: a batch's tensors last until the next batch.
+A run with an option its suite does not read, or that no cell of the run
+reads (``delta`` without an n = 4 cell), no cell, fewer samples than cells,
+a smaller n or k < 1 raises ``ValueError`` before it samples;
 ``run_suite("all", ...)`` gives each suite only the options it reads.
 """
 
@@ -80,12 +82,12 @@ def _grid(n, k, dims, codims=range(1, 5)) -> list[tuple[int, int]]:
             for c in ([k] if k is not None else codims)]
 
 
-# batch functions: (rng, take, n, k, params) -> (margins, samples drawn)
+# batch functions: (rng, take, n, k, params, out=None) -> (margins, drawn)
 
-def _lemma31(rng, take, n, k, p):
+def _lemma31(rng, take, n, k, p, out=None):
     """Two-sided check of the eigenvalue-pair trace identity over all pairs;
     tolerance 1e-10 * (1 + |B|^2)."""
-    a = rng.standard_normal((take, n, n))
+    a = rng.standard_normal(out=sampling._array((take, n, n), out))
     kappa = np.linalg.eigvalsh((a + a.transpose(0, 2, 1)) / 2.0)
     tr = kappa.sum(axis=1)
     norm2 = (kappa ** 2).sum(axis=1)
@@ -103,37 +105,38 @@ def _lemma31(rng, take, n, k, p):
     return margins, take
 
 
-def _operator_pinch(rng, take, n, k, p):
+def _operator_pinch(rng, take, n, k, p, out=None):
     """min eig of the curvature operator >= (eps/2)|H|^2 - 1e-9 |h|^2 under
     |h|^2 - |H|^2/(n-1) <= -eps |H|^2."""
     e = p["eps"]
-    h = sampling.pinched_tensors(rng, take, n, k, 1.0 / (n - 1) - e)
+    h = sampling.pinched_tensors(rng, take, n, k, 1.0 / (n - 1) - e, out)
     normH2, normh2, _ = batch_scalars(h)
     min_eig = np.linalg.eigvalsh(batch_gauss_operator(h))[:, 0]
     return min_eig - (e / 2.0) * normH2 + 1e-9 * normh2, h.shape[0]
 
 
-def _reaction(rng, take, n, k, p):
+def _reaction(rng, take, n, k, p, out=None):
     """R1 - c R2 < 0 under |h|^2 <= c |H|^2: the margin c R2 - R1 must be
     strictly positive."""
-    h = sampling.pinched_tensors(rng, take, n, k, p["c"])
+    h = sampling.pinched_tensors(rng, take, n, k, p["c"], out)
     r1, r2 = batch_reaction_terms(h)
     return p["c"] * r2 - r1, h.shape[0]
 
 
-def _adapted_r2(rng, take, n, k, p):
+def _adapted_r2(rng, take, n, k, p, out=None):
     """Identity R2 = |h01|^2 |H|^2 + |H|^4 / n to 1e-10 relative."""
-    h = sampling.symmetric_tensors(rng, take, n, k)
+    h = sampling.symmetric_tensors(rng, take, n, k, out)
     normH2, _, _ = batch_scalars(h)
     keep = normH2 > 1e-12
-    h, normH2 = h[keep], normH2[keep]
+    if not keep.all():
+        h, normH2 = h[keep], normH2[keep]
     _, r2 = batch_reaction_terms(h)
     _, h01sq, _ = batch_adapted_split(h)
     diff = np.abs(r2 - (h01sq * normH2 + normH2 ** 2 / n))
     return 1e-10 * np.maximum(1.0, np.abs(r2)) - diff, take
 
 
-def _sphere_case1(rng, take, n, k, p):
+def _sphere_case1(rng, take, n, k, p, out=None):
     """II <= -2 theta K f with theta = 2 eps under the case-1 pinching
     (n = 4 uses slack delta = 0.1 by default, n >= 5 uses delta = 0)."""
     amb, eps, K = p["amb"], p["eps"], p["amb"].K
@@ -141,26 +144,26 @@ def _sphere_case1(rng, take, n, k, p):
         cap = lambda H2: H2 / 12.0 + (2.0 - p["delta"]) * K
     else:
         cap = lambda H2: H2 / (n * (n - 1)) + 2.0 * K
-    h = sampling.sphere_pinched_tensors(rng, take, n, k, cap)
+    h = sampling.sphere_pinched_tensors(rng, take, n, k, cap, out)
     f = batch_aux_f(h, amb, eps)
     theta = 2.0 * eps
     return -2.0 * theta * K * f - batch_term_II(h, amb, eps), take
 
 
-def _sphere_case2(rng, take, n, k, p):
+def _sphere_case2(rng, take, n, k, p, out=None):
     """II <= -4 n K f with b = 0 under |h|^2 <= (4/(3n)) |H|^2."""
     amb = p["amb"]
-    h = sampling.sphere_pinched_tensors(rng, take, n, k, lambda H2: H2 / (3.0 * n))
+    h = sampling.sphere_pinched_tensors(rng, take, n, k, lambda H2: H2 / (3.0 * n), out)
     f = batch_aux_f(h, amb, 1.0)        # eps = 1 makes b = 0
     return -4.0 * n * amb.K * f - batch_term_II(h, amb, 1.0), take
 
 
-def _f_bound(rng, take, n, k, p):
+def _f_bound(rng, take, n, k, p, out=None):
     """f <= 1 under the n >= 5 pinching |h|^2 - |H|^2/(n-1) <= 2K, where
     n(n-1)(1-eps) >= 2."""
     K = p["amb"].K
     h = sampling.sphere_pinched_tensors(
-        rng, take, n, k, lambda H2: H2 / (n * (n - 1)) + 2.0 * K)
+        rng, take, n, k, lambda H2: H2 / (n * (n - 1)) + 2.0 * K, out)
     return 1.0 - batch_aux_f(h, p["amb"], p["eps"]), take
 
 
@@ -256,14 +259,17 @@ def _run(name: str, samples: int, seed: int, **options) -> list[SuiteRow]:
     generator, and keep its worst margin and its violation count."""
     suite = _TABLE[name]
     cells = _cells(name, samples, **options)
+    counts = _split(samples, len(cells))
+    out = np.empty(max(min(_BATCH, c) * d * d * max(k, 1)
+                       for (_, d, k, _), c in zip(cells, counts)))
     rows = []
-    for (label, dim, cod, params), count in zip(cells, _split(samples, len(cells))):
+    for (label, dim, cod, params), count in zip(cells, counts):
         rng = sampling.generator(seed, _SUITE_IDS[name], dim, cod)
         tol = suite.tol(params)
         worst, bad, drawn = math.inf, 0, 0
         with np.errstate(over="ignore", invalid="ignore"):
             for take in _batches(count):
-                margin, got = suite.batch(rng, take, dim, cod, params)
+                margin, got = suite.batch(rng, take, dim, cod, params, out)
                 drawn += got
                 # a NaN margin fails both comparisons: it is a violation
                 ok = margin > -tol if suite.strict else margin >= -tol

@@ -182,6 +182,45 @@ class TestSamplersMatchReference:
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def draw_both(sample, seed, count, n, k):
+    """``sample(rng, count, n, k, out)`` without and with a draw buffer (one
+    that already holds other values), each followed by the generator's next
+    draw."""
+    plain_rng, buf_rng = generator(seed, n, k), generator(seed, n, k)
+    plain = sample(plain_rng, count, n, k, None)
+    buf = np.full(count * n * n * k + 11, np.nan)
+    drawn = sample(buf_rng, count, n, k, buf)
+    return (plain, plain_rng.standard_normal(5)), (drawn, buf_rng.standard_normal(5)), buf
+
+
+SAMPLERS = {
+    "symmetric": symmetric_tensors,
+    "pinched": lambda rng, count, n, k, out: pinched_tensors(
+        rng, count, n, k, 4.0 / (3.0 * n) - 0.01, out),
+    "sphere-pinched": lambda rng, count, n, k, out: sphere_pinched_tensors(
+        rng, count, n, k, lambda H2: H2 / (n * (n - 1)) + 2.0, out),
+}
+
+
+class TestDrawBuffer:
+    """A sampler given a draw buffer returns the bits it returns without one,
+    and leaves the generator where it leaves it."""
+
+    @pytest.mark.parametrize("name", list(SAMPLERS))
+    @pytest.mark.parametrize("n,k", [(2, 1), (3, 4), (4, 1), (5, 2)])
+    @pytest.mark.parametrize("count", [1, 7, BLOCK + 3, 2 * BLOCK + 1])
+    def test_same_bits_and_stream(self, name, n, k, count):
+        (plain, plain_next), (drawn, buf_next), _ = draw_both(SAMPLERS[name], count, count, n, k)
+        assert drawn.shape == plain.shape and drawn.flags.c_contiguous
+        assert np.array_equal(drawn.view(np.int64), plain.view(np.int64))
+        assert np.array_equal(buf_next, plain_next)
+
+    @pytest.mark.parametrize("name", ["symmetric", "sphere-pinched"])
+    def test_result_is_a_view_of_the_buffer(self, name):
+        _, (drawn, _), buf = draw_both(SAMPLERS[name], 3, 500, 4, 3)
+        assert np.shares_memory(drawn, buf)
+
+
 class TestSamplerMemory:
     """Each batch is built in the array the generator fills: the traced peak
     stays near the result's size, where a copy of the batch would double it."""

@@ -499,6 +499,37 @@ class TestCliReport:
         assert not (run_dir / "area_fit.csv").exists()
         assert not (run_dir / "rescale_type1").exists()
 
+    def test_negative_fit_window_as_a_separate_argument(self, tmp_path):
+        """``--fit-window -0.95:-0.91`` fits the window that
+        ``--fit-window=-0.95:-0.91`` does, on an Ancient Veronese run."""
+        out = tmp_path / "ver"
+        assert run_cli("simulate", "--spec", "veronese", "--grid", "16x32", "--mode", "ancient",
+                       "--t0", "-1", "--t-end", "-0.9", "--snapshot-every", "1",
+                       "--out", str(out)) == 0
+        fits = []
+        for argv in (("--fit-window", "-0.95:-0.91"), ("--fit-window=-0.95:-0.91",)):
+            assert run_cli("report", "--in", str(out), "--fit-area-decay", *argv) == 0
+            fits.append((out / "area_fit.csv").read_text())
+        assert fits[0] == fits[1]
+        _, r, _ = fits[0].splitlines()[1].split(",")
+        assert abs(float(r) - 1.0) <= 0.01
+
+    @pytest.mark.parametrize("argv,message", [
+        (("--rescale", "type1", "--tj", "-inf"), "--tj must be finite; got -inf"),
+        (("--rescale", "type1", "--t", "-inf"), "--tj must be finite; got -inf"),
+        (("--rescale", "type1", "--tj", "--classify"), "argument --tj: expected one argument"),
+        (("--fit-area-decay", "--fit-window", "--classify"),
+         "argument --fit-window: expected one argument"),
+        (("--rescale", "type1", "--tj", "-h"), "argument --tj: expected one argument"),
+    ])
+    def test_value_that_starts_with_a_dash(self, run_dir, capsys, argv, message):
+        """A value that starts with one '-' and names no option is read as
+        the option's value; a following option is still a missing value."""
+        capsys.readouterr()
+        assert run_cli("report", "--in", str(run_dir), *argv) == 64
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not (run_dir / "rescale_type1").exists()
+
     def test_tj_nan_leaves_an_earlier_report_in_place(self, tmp_path, capsys):
         out = tmp_path / "anc"
         assert run_cli("simulate", "--spec", "sphere", "--grid", "8x16", "--mode", "ancient",
