@@ -22,7 +22,9 @@ come from a ``--config`` file of ``key=value`` lines, one per option's
 destination (``t_end``, ``in_dir``, ``fit_area``): the lines become flags that
 one parser reads ahead of the command line, so a flag beats the file, and a
 key that names no option of the command is a usage error.  ``simulate``
-refuses an option its seed does not read.
+refuses an option its seed does not read.  A command's lines for standard
+output are printed once its run is done; a reader that closes the stream
+early (``| head -1``) changes neither the outputs nor the exit code.
 """
 
 from __future__ import annotations
@@ -168,7 +170,7 @@ def _add_simulate(sub):
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--radius", type=float)
-    p.add_argument("--grid", type=str, default="64x128")
+    p.add_argument("--grid", type=str)
     p.add_argument("--perturb", type=str)
     p.add_argument("--t-end", dest="t_end", type=float)
     p.add_argument("--t0", type=float, default=0.0)
@@ -200,9 +202,11 @@ def _check_out(out_dir: str) -> None:
 
 def _build_seed(args):
     """The seed's solution and grid.  An option the seed does not read is a
-    usage error: ``--perturb`` off an n = 2 sphere, ``--n`` or ``--k`` for
-    the Veronese (n = 2, k = 3), ``--radius`` where t0 < 0 and the seed
-    follows its ancient law (every kind but the torus)."""
+    usage error: ``--perturb`` off an n = 2 sphere or with amplitude 0,
+    ``--n`` or ``--k`` for the Veronese (n = 2, k = 3), ``--radius`` where
+    t0 < 0 and the seed follows its ancient law (every kind but the torus),
+    and a second ``--grid`` extent for a circle (an n = 1 sphere), which
+    takes ``--grid N`` (default 64; 64x128 for a surface)."""
     if args.spec is None:
         raise _UsageError("--spec is required")
     kind = _KINDS[args.spec]
@@ -225,16 +229,28 @@ def _build_seed(args):
     if args.perturb is not None and (kind, sol.n) != ("Sphere", 2):
         raise _UsageError(f"--perturb applies only to an n = 2 sphere; "
                           f"this seed is a {args.spec} with n = {sol.n}")
-    g1, g2 = _parse_pair(args.grid, "x", (int, int), "--grid value", "WxH")
+    if args.perturb is not None and sol.perturb_amp == 0:
+        raise _UsageError(f"--perturb {args.perturb} has amplitude 0 and perturbs nothing")
     if kind in ("Sphere", "Veronese"):
         topology = "Circle" if sol.n == 1 else "LatLongSphere"
     else:
         topology = "Torus2"
-    grid = ParamGrid(topology=topology, res=(g1,) if topology == "Circle" else (g1, g2))
+    if topology == "Circle":
+        text = args.grid or "64"
+        if "x" in text.lower():
+            raise _UsageError(f"--grid {text} gives a circle a second extent; "
+                              f"an n = 1 sphere takes --grid N")
+        try:
+            res = (int(text),)
+        except ValueError:
+            raise _UsageError(f"bad --grid value {text!r}; expected N") from None
+    else:
+        res = _parse_pair(args.grid or "64x128", "x", (int, int), "--grid value", "WxH")
+    grid = ParamGrid(topology=topology, res=res)
     return sol, grid
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, stdout: list) -> int:
     try:
         sol, grid = _build_seed(args)
         t0, t_end = args.t0, args.t_end
@@ -299,8 +315,8 @@ def cmd_simulate(args) -> int:
         "duration_s": time.time() - started,
         "outputs": outputs,
     })
-    print(f"{stop_reason}: {len(records)} snapshots, "
-          f"t in [{records[0].t:.6g}, {records[-1].t:.6g}]")
+    stdout.append(f"{stop_reason}: {len(records)} snapshots, "
+                  f"t in [{records[0].t:.6g}, {records[-1].t:.6g}]")
     if stop_reason == "blowup":
         return EXIT_BLOWUP
     if stop_reason == "degenerate":
@@ -327,7 +343,7 @@ def _add_verify(sub):
     p.add_argument("--config", type=str)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, stdout: list) -> int:
     """Run one suite of :mod:`mcflow.verify` (or all seven) and write its report.
 
     n, k, c, eps, delta and r_amb narrow or parametrise the suite's cells; a
@@ -353,11 +369,11 @@ def cmd_verify(args) -> int:
         return EXIT_USAGE
     write_report(rows, out)
     total_bad = sum(r.violations for r in rows)
-    print(f"suite={suite} seed={seed} samples={sum(r.samples for r in rows)} "
-          f"violations={total_bad} elapsed={time.time() - started:.1f}s")
+    stdout.append(f"suite={suite} seed={seed} samples={sum(r.samples for r in rows)} "
+                  f"violations={total_bad} elapsed={time.time() - started:.1f}s")
     for r in rows:
-        print(f"  {r.suite} n={r.n} k={r.k}: {r.violations} violations, "
-              f"worst margin {r.worst_margin:.3e}")
+        stdout.append(f"  {r.suite} n={r.n} k={r.k}: {r.violations} violations, "
+                      f"worst margin {r.worst_margin:.3e}")
     return EXIT_OK if total_bad == 0 else EXIT_VIOLATIONS
 
 
@@ -436,7 +452,7 @@ def _write_rescaled(slices, sub: str) -> None:
         raise
 
 
-def cmd_report(args) -> int:
+def cmd_report(args, stdout: list) -> int:
     """Classify, fit and rescale the run in ``--in``, writing into it; a run
     these analyses cannot use, or whose diagnostics do not pair with its
     snapshots, is a data error (exit 65).  The type-2 base is searched among
@@ -470,14 +486,14 @@ def cmd_report(args) -> int:
                 fh.write("kind,C,C2,supTIq,trend\n")
                 fh.write(f"{res.kind},{res.C:.17g},{res.C ** 2:.17g},"
                          f"{res.sup_tIq:.17g},{res.trend:.17g}\n")
-            print(f"{res.kind} C2={res.C ** 2:.6g} trend={res.trend:.4f}")
+            stdout.append(f"{res.kind} C2={res.C ** 2:.6g} trend={res.trend:.4f}")
 
         if args.fit_area:
             c_fit, r_fit = fit_area_decay(traj, window)
             with open(os.path.join(in_dir, "area_fit.csv"), "w") as fh:
                 fh.write("c,r,mode\n")
                 fh.write(f"{c_fit:.17g},{r_fit:.17g},{traj.mode}\n")
-            print(f"area ~ c|t|^r fit: c={c_fit:.6g} r={r_fit:.4f}")
+            stdout.append(f"area ~ c|t|^r fit: c={c_fit:.6g} r={r_fit:.4f}")
 
         rescale = args.rescale
         if rescale:
@@ -490,7 +506,7 @@ def cmd_report(args) -> int:
             slices, L, _, base_time = stream
             sub = os.path.join(in_dir, f"rescale_{rescale}")
             _write_rescaled(slices, sub)
-            print(f"{rescale}: L={L:.6g} base_time={base_time:.6g} -> {sub}")
+            stdout.append(f"{rescale}: L={L:.6g} base_time={base_time:.6g} -> {sub}")
     except (ValueError, DegenerateGeometryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -529,7 +545,20 @@ def main(argv=None) -> int:
     if command is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    return command(args)
+    stdout: list[str] = []
+    code = command(args, stdout)
+    try:
+        for line in stdout:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (``| head -1``): the run's outputs are written
+        # and its code stands; the rest of stdout, and its flush at exit, go
+        # to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

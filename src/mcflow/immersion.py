@@ -414,6 +414,13 @@ def _fmt(x: float) -> str:
 _SNAPSHOT_BLOCK = 512
 
 
+def _format_block_fallback(block) -> bytes:
+    """A block of nodes formatted by Python's own ``%.17g``, the text the
+    kernel's bytes equal."""
+    row = " ".join(["%.17g"] * block.shape[1]) + "\n"
+    return ((row * len(block)) % tuple(block.ravel().tolist())).encode()
+
+
 def save_snapshot(im: DiscreteImmersion, path) -> None:
     """Write the line-oriented snapshot format.
 
@@ -424,9 +431,17 @@ def save_snapshot(im: DiscreteImmersion, path) -> None:
     (the same text as ``f"{x:.17g}"``), one space between coordinates and
     ``"\\n"`` after every node, the last one included.
 
-    Nodes are formatted and written a block of rows at a time, one ``%``
-    per block, so the whole file is never held as one string.
+    Nodes are formatted and written a block of rows at a time, so the whole
+    file is never held as one string.  A numpy kernel makes each block's
+    bytes, exactly those of ``%.17g``: it finds each value's 17 significant
+    digits with an exact product against a power of ten and lays out their
+    text by table lookups.  A block falls back to Python's ``%`` when one of
+    its values lies outside 1e-280 <= |x| < 1e280 (subnormals, NaN and the
+    infinities among them) or rounds within 1e-9 of a tie that an inexact
+    power of ten leaves open; zeros and flow states stay on the kernel.
     """
+    from ._g17 import format_values     # compiled, and its tables built, on first use
+
     res = im.grid.res
     r1 = res[0]
     r2 = res[1] if len(res) > 1 else 1
@@ -437,12 +452,14 @@ def save_snapshot(im: DiscreteImmersion, path) -> None:
             vec = ",".join(_fmt(c) for c in im.wrap_offsets[axis])
             header += f" wrap{axis}={vec}"
     flat = im.positions.reshape(-1, im.ambient_dim)
-    row = " ".join(["%.17g"] * im.ambient_dim) + "\n"
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
+    seps = np.full((min(len(flat), _SNAPSHOT_BLOCK), im.ambient_dim), ord(" "), np.uint8)
+    seps[:, -1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode() + b"\n")
         for start in range(0, len(flat), _SNAPSHOT_BLOCK):
             block = flat[start:start + _SNAPSHOT_BLOCK]
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            text = format_values(block.ravel(), seps[:len(block)].ravel())
+            fh.write(_format_block_fallback(block) if text is None else text)
 
 
 def _read_header(fh, path) -> tuple:

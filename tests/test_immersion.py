@@ -2,6 +2,7 @@
 frame handling, and the snapshot format."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from mcflow import (
     DegenerateGeometryError,
     DiscreteImmersion,
+    FlowConfig,
     ParamGrid,
     SolutionSpec,
     integrate,
@@ -17,7 +19,10 @@ from mcflow import (
     save_snapshot,
     seed_immersion,
 )
+from mcflow import immersion
+from mcflow._g17 import format_values
 from mcflow.curvature import batch_normal_curvature, batch_reaction_terms, batch_scalars
+from mcflow.flow import iter_records
 from mcflow.immersion import (
     _SNAPSHOT_BLOCK,
     covariant_gradient_fields,
@@ -482,6 +487,138 @@ class TestSnapshots:
         back = load_snapshot(tmp_path / "torus.txt")
         for axis, vec in wraps.items():
             assert np.array_equal(back.wrap_offsets[axis].view(np.int64), vec.view(np.int64))
+
+    # the %.17g kernel against Python's formatter, value by value
+
+    @staticmethod
+    def kernel_text(values):
+        """The kernel's text of ``values``, one value per line, made in chunks
+        of 2,048 values; None if it declines a chunk."""
+        values = np.asarray(values, dtype=float)
+        seps = np.full(2048, ord("\n"), np.uint8)
+        chunks = [format_values(values[i:i + 2048], seps[:len(values[i:i + 2048])])
+                  for i in range(0, len(values), 2048)]
+        return None if any(c is None for c in chunks) else b"".join(chunks).decode()
+
+    @staticmethod
+    def python_text(values):
+        return "".join(f"{x:.17g}\n" for x in np.asarray(values, dtype=float).tolist())
+
+    def assert_kernel_exact(self, values):
+        values = np.asarray(values, dtype=float)
+        got = self.kernel_text(values)
+        assert got is not None, "the kernel declined a chunk"
+        want = self.python_text(values)
+        if got != want:
+            bad = [(x, g, w) for x, g, w in zip(values.tolist(), got.split("\n"),
+                                                 want.split("\n")) if g != w]
+            pytest.fail(f"{len(bad)} values differ, first {bad[0]}")
+
+    def test_kernel_matches_python_on_random_bit_patterns(self):
+        bits = np.random.default_rng(17).integers(0, 2 ** 64, 1_200_000, dtype=np.uint64)
+        x = bits.view(np.float64)
+        fast = np.isfinite(x) & (np.abs(x) >= 1e-280) & (np.abs(x) < 1e280)
+        assert fast.sum() >= 1_000_000
+        self.assert_kernel_exact(x[fast])
+        for v in x[~fast][:200]:        # NaN, infinities, subnormals, extremes
+            assert format_values(np.array([v]), np.array([10], np.uint8)) is None
+
+    def test_kernel_matches_python_on_normal_and_scaled_values(self):
+        rng = np.random.default_rng(18)
+        normal = rng.standard_normal(200_000)
+        self.assert_kernel_exact(normal)
+        self.assert_kernel_exact(normal * 10.0 ** rng.integers(-25, 21, normal.size))
+        # dyadic rationals: exact products, where a decimal tie is common
+        self.assert_kernel_exact(rng.integers(-2 ** 40, 2 ** 40, 200_000)
+                                 * 2.0 ** rng.integers(-60, 10, 200_000))
+
+    @pytest.mark.parametrize("switch", [1e-5, 1e-4, 1e16, 1e17])
+    def test_kernel_is_exact_across_the_notation_switches(self, switch):
+        """%.17g switches between fixed and exponent notation at 1e-4 and
+        1e17; 1e-5 and 1e16 are the far sides.  Each switch and 300 of its
+        neighbours either way, of both signs."""
+        walk = [switch]
+        for direction in (0.0, np.inf):
+            x = switch
+            for _ in range(300):
+                x = np.nextafter(x, direction)
+                walk.append(x)
+        walk = np.array(walk)
+        self.assert_kernel_exact(np.concatenate([walk, -walk]))
+
+    def test_kernel_is_exact_at_every_power_of_ten(self):
+        powers = np.array([float(f"1e{e}") for e in range(-279, 280)])
+        near = [powers]
+        for direction in (0.0, np.inf):
+            x = powers
+            for _ in range(3):
+                x = np.nextafter(x, direction)
+                near.append(x)
+        near = np.concatenate(near)
+        self.assert_kernel_exact(np.concatenate([near, -near]))
+
+    def test_kernel_carries_to_the_next_power_of_ten(self):
+        """These doubles lie just below 10^e, so their 17 digits round up to
+        99999999999999999.5 and carry: the text is that of 10^e."""
+        carries = {1e-14: "1e-14", 1e-70: "1e-70", 1e98: "1e+98", 1e220: "1e+220"}
+        for x, text in carries.items():
+            e = round(math.log10(x))
+            assert Fraction(x) < Fraction(10) ** e
+            assert self.kernel_text([x, -x]) == f"{text}\n-{text}\n"
+        self.assert_kernel_exact(list(carries))
+
+    def test_kernel_zeros_and_values_it_leaves_to_python(self):
+        assert self.kernel_text([0.0, -0.0, 0.0]) == "0\n-0\n0\n"
+        for v in (5e-324, -2.0 ** -1022 * 0.5, 2.0 ** -1022, np.nan, np.inf, -np.inf,
+                  1e-281, 1e280, -1.7e308):
+            assert self.kernel_text([1.0, v, 2.0]) is None, v
+        # M * 2^-24 times 10^23 is an exact tie (17881393432617187.5 for
+        # M = 3), which the double-double of 10^23 cannot settle
+        for m in (3, 5, 7, 9, 11, 13, 15):
+            assert self.kernel_text([1.0, m * 2.0 ** -24, 2.0]) is None, m
+        self.assert_kernel_exact([1e-280, -1e-280, np.nextafter(1e280, 0)])
+
+    def test_block_with_fallback_values_is_exact_and_alone_in_falling_back(
+            self, tmp_path, monkeypatch):
+        """A block that holds a value the kernel declines (a subnormal, one
+        past 1e280; a position is never NaN or infinite) is written by
+        Python's ``%`` as a whole; the blocks around it stay on the kernel."""
+        calls = []
+        fallback = immersion._format_block_fallback
+        monkeypatch.setattr(immersion, "_format_block_fallback",
+                            lambda block: calls.append(len(block)) or fallback(block))
+        res = (3 * _SNAPSHOT_BLOCK // 8, 8)         # three blocks
+        positions = np.random.default_rng(5).standard_normal(res + (4,))
+        positions[res[0] // 2, 0] = [5e-324, -1e300, 2.0 ** -1040, -0.0]
+        im = DiscreteImmersion(grid=ParamGrid("LatLongSphere", res), n=2, k=2, t=0.5,
+                               positions=positions)
+        save_snapshot(im, tmp_path / "mixed.txt")
+        lines = (tmp_path / "mixed.txt").read_text().split("\n")[1:-1]
+        rows = positions.reshape(-1, 4)
+        assert lines == [" ".join(f"{c:.17g}" for c in row) for row in rows]
+        assert calls == [_SNAPSHOT_BLOCK]
+
+    @pytest.mark.parametrize("spec,res,t0,t_end,mode", [
+        (SolutionSpec(kind="Sphere", n=2, k=2, radius=1.0), (64, 128), 0.37, 0.3703, "Forward"),
+        (SolutionSpec(kind="Veronese", n=2, k=3), (24, 48), -1.1, -1.07, "Ancient"),
+    ])
+    def test_flow_states_never_fall_back(self, tmp_path, monkeypatch, spec, res, t0, t_end,
+                                         mode):
+        """The states of the benchmark's two flows (an R^4 sphere, whose
+        fourth coordinate is exactly 0, and the Veronese) are all written by
+        the kernel."""
+        def refuse(block):
+            raise AssertionError("a flow state reached the %-fallback")
+
+        monkeypatch.setattr(immersion, "_format_block_fallback", refuse)
+        seed = seed_immersion(spec, ParamGrid("LatLongSphere", res), t0)
+        config = FlowConfig(t_end=t_end, snapshot_every=1)
+        states = [state for state, _ in iter_records(seed, config, mode=mode)]
+        assert len(states) >= 4
+        for i, state in enumerate(states):
+            path = tmp_path / f"snap_{i}.txt"
+            save_snapshot(state, path)
+            assert np.array_equal(load_snapshot(path).positions, state.positions)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -243,6 +243,9 @@ class TestCliSimulate:
          "--radius"),
         (("--spec", "cylinder", "--mode", "ancient", "--t0", "-0.25", "--radius", "7"),
          "--radius"),
+        (("--spec", "sphere", "--perturb", "0:5"), "--perturb"),    # amplitude 0
+        (("--spec", "sphere", "--perturb", "-0.0:2"), "--perturb"),
+        (("--spec", "sphere", "--n", "1"), "--grid"),     # a circle given 16x32
     ])
     @pytest.mark.parametrize("source", ["flags", "file"])
     def test_option_the_seed_does_not_read_is_usage_error(self, tmp_path, capsys, argv,
@@ -261,6 +264,26 @@ class TestCliSimulate:
         err = capsys.readouterr().err
         assert err.startswith(f"usage error: {option} ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_circle_takes_one_grid_extent(self, tmp_path):
+        out = tmp_path / "circle"
+        assert run_cli("simulate", "--spec", "sphere", "--n", "1", "--grid", "16",
+                       "--t-end", "0", "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["grid"] == "16"
+        assert manifest["config"]["topology"] == "Circle"
+        lines = (out / "snap_000000.txt").read_text().splitlines()
+        assert lines[0].endswith(" res=16x1 t=0") and len(lines) == 17
+
+    @pytest.mark.parametrize("argv,grid", [
+        (("--spec", "sphere", "--n", "1"), "64"),
+        (("--spec", "sphere"), "64x128"),
+        (("--spec", "veronese"), "64x128"),
+    ])
+    def test_default_grid(self, tmp_path, argv, grid):
+        out = tmp_path / "run"
+        assert run_cli("simulate", *argv, "--t-end", "0", "--out", str(out)) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["grid"] == grid
 
     def test_torus_seed_refuses_a_dimension_it_does_not_flow(self, tmp_path, capsys):
         out = tmp_path / "torus"
@@ -330,6 +353,27 @@ class TestCliVerify:
         assert captured.err.startswith("usage error:") and captured.err.count("\n") == 1
         assert captured.out == ""
         assert not rep.exists()
+
+    @pytest.mark.parametrize("argv,code", [
+        (("--suite", "sphere-case2", "--r-amb", "1000", "--samples", "2000"), 0),
+        (("--suite", "reaction", "--c", "0.5", "--n", "4", "--samples", "20000"), 1),
+    ])
+    def test_stdout_closed_early_keeps_the_exit_code(self, tmp_path, capsys, monkeypatch,
+                                                     argv, code):
+        """A reader that leaves early (``| head -1``) costs no traceback: the
+        report is written and the run returns the code it would have."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with os.fdopen(write_end, "w") as closed:
+            monkeypatch.setattr(sys, "stdout", closed)
+            with pytest.raises(BrokenPipeError):
+                print("a write to a pipe whose reader has left", flush=True)
+            rep = tmp_path / "r.csv"
+            assert run_cli("verify", *argv, "--out", str(rep)) == code
+            print("more output is dropped", flush=True)
+            monkeypatch.undo()
+        assert capsys.readouterr().err == ""
+        assert len(rep.read_text().splitlines()) > 1
 
     def test_nan_margin_is_a_violation(self, tmp_path, capsys):
         # c = 1e300 lets R1 and R2 overflow, so every margin c R2 - R1 is NaN;
