@@ -10,11 +10,15 @@ wall-clock duration and the list of output files.  An ``--out`` that holds an
 earlier run's manifest or snapshots is refused.  ``report`` reads the
 trajectory back and checks its records one for one against the snapshots the
 manifest lists; a mismatch, or a singular time that is not null or a finite
-number, is a data error.  Classification and the area fit read the records
-only, and a rescaling loads, rescales and writes one snapshot at a time, so
-neither command's memory grows with the number of snapshots.  A non-finite
-``--tj`` or ``--fit-window`` bound, or a window with lo >= hi, is a usage
-error, refused before anything is read or removed.
+number, is a data error, as is a diagnostics row that does not parse (its
+field count differs from the header's, or a field is not a number).
+Classification and the area fit read the records only, and a rescaling
+loads, rescales and writes one snapshot at a time, so neither command's
+memory grows with the number of snapshots.  A non-finite
+``--tj`` or ``--fit-window`` bound, a window with lo >= hi, and an option
+no requested analysis reads (``--tj`` or ``--n-tau`` without ``--rescale
+type1``, ``--fit-window`` without ``--fit-area-decay``) are usage errors,
+refused before anything is read or removed.
 ``verify`` writes only its CSV report, whose seed column reproduces it.
 Every command runs in one process, in a fixed order, so re-running with the
 same inputs reproduces all numeric outputs byte-for-byte.  Options may also
@@ -462,6 +466,12 @@ def cmd_report(args, stdout: list) -> int:
         in_dir, window_txt, tj = args.in_dir, args.fit_window, args.tj
         if not in_dir:
             raise _UsageError("--in is required")
+        for option, value, needs, given in (
+                ("--tj", tj, "--rescale type1", args.rescale == "type1"),
+                ("--n-tau", args.n_tau, "--rescale type1", args.rescale == "type1"),
+                ("--fit-window", window_txt, "--fit-area-decay", args.fit_area)):
+            if value is not None and not given:
+                raise _UsageError(f"{option} applies only with {needs}")
         window = (_parse_pair(window_txt, ":", (float, float), "window", "lo:hi")
                   if window_txt else None)
         if window and not -math.inf < window[0] < window[1] < math.inf:

@@ -139,8 +139,8 @@ class DiagnosticsRecord:
 @dataclass
 class Trajectory:
     """A run's records: record i describes the run's snapshot i.  There is at
-    least one record, at strictly increasing times, and the singular time is
-    None or a finite number."""
+    least one record, at finite and strictly increasing times, and the
+    singular time is None or a finite number."""
 
     diagnostics: list[DiagnosticsRecord]
     mode: str = "Forward"
@@ -153,8 +153,9 @@ class Trajectory:
         if not self.diagnostics:
             raise ValueError("a trajectory needs at least one record")
         times = [r.t for r in self.diagnostics]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("snapshot times must be strictly increasing")
+        # NaN compares false both ways, so it is refused before the order test
+        if not all(map(math.isfinite, times)) or any(b <= a for a, b in zip(times, times[1:])):
+            raise ValueError("snapshot times must be finite and strictly increasing")
         T = self.T_singular
         try:    # isfinite raises TypeError on a string, OverflowError on a huge int
             finite = T is None or (not isinstance(T, bool) and math.isfinite(T))
@@ -577,17 +578,25 @@ def write_diagnostics_csv(records, path) -> None:
 
 
 def read_diagnostics_csv(path) -> list[DiagnosticsRecord]:
+    """The records of a file written by :func:`write_diagnostics_csv`; a row
+    whose field count differs from the header's, or with a field that is not
+    a number, is refused by its line number."""
     with open(path) as fh:
         header = fh.readline().strip()
         if tuple(header.split(",")) != CSV_COLUMNS:
             raise ValueError(f"{path}: unexpected diagnostics header {header!r}")
         records = []
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.strip().split(",")
+            if fields == [""]:
                 continue
-            vals = dict(zip(CSV_COLUMNS, line.split(",")))
-            gb = vals.pop("gaussBonnet")
-            records.append(DiagnosticsRecord(gaussBonnet=None if gb == "" else float(gb),
-                                             **{c: float(v) for c, v in vals.items()}))
+            try:
+                if len(fields) != len(CSV_COLUMNS):
+                    raise ValueError(f"{len(fields)} fields, the header {len(CSV_COLUMNS)}")
+                vals = dict(zip(CSV_COLUMNS, fields))
+                gb = vals.pop("gaussBonnet")
+                records.append(DiagnosticsRecord(gaussBonnet=None if gb == "" else float(gb),
+                                                 **{c: float(v) for c, v in vals.items()}))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return records

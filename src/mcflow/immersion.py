@@ -4,16 +4,17 @@ An immersion F: M^n -> R^(n+k) is stored as positions on a ParamGrid.  The
 public arrays are (*res, n+k), but extraction works components first,
 (n+k, *res), the layout of :mod:`mcflow.grid`: the positions of flow states,
 ``ScalarFields.Hvec`` and ``mean_curvature_vector`` are views of such arrays,
-not C-ordered copies.  All extraction starts from one core: ghost-padded
-positions, fourth-order central differences for the Jacobian and
-d2F/du_i du_j, and the induced metric g = jac^T jac in closed form with its
-condition check.  On it sit ``mean_curvature_vector`` (the velocity alone),
-``scalar_fields`` (H, |H|^2, |h|^2, det g: the flow's per-step kernel, which
-projects each second derivative without forming P = I - jac g^(-1) jac^T) and
-``geometry_fields`` (for ``point_curvature_field`` and covariant gradients:
-adds P and the ambient-valued second fundamental form
-hvec_ij = P d2F/du_i du_j; normal projection removes all tangential terms, so
-h needs no Christoffel term).
+not C-ordered copies.  All extraction starts from one core, the same index
+loops for every n: ghost-padded positions, fourth-order central differences
+for the Jacobian and d2F/du_a du_b, and g = jac^T jac with det g and g^(-1)
+from cofactors.  A node whose tr(g) tr(g^(-1)) passes 1e12, or whose det g is
+not positive and finite (an underflow too), fails the condition check.  On it
+sit ``mean_curvature_vector`` (the velocity alone), ``scalar_fields`` (H,
+|H|^2, |h|^2, det g: the flow's per-step kernel, which projects each second
+derivative without forming P = I - jac g^(-1) jac^T) and ``geometry_fields``
+(adds P and hvec_ij = P d2F/du_i du_j, for ``point_curvature_field`` and
+covariant gradients; h needs no Christoffel term).  Pair sums run row by row,
+diagonal first, so n = 1 and n = 2 keep the bits of their closed forms.
 
 Covariant gradients are assembled gauge-free: h is differentiated as an
 ambient-vector field and projected, so no smooth normal frame is needed, and
@@ -160,23 +161,55 @@ def _square(m: list) -> np.ndarray:
     return np.stack([np.stack(row, axis=-1) for row in m], axis=-2)
 
 
+def _total(terms):
+    """Sum of arrays left to right from the first, each released once added."""
+    it = iter(terms)
+    out = next(it)
+    for term in it:
+        out, term = out + term, None
+    return out
+
+
+def _pairs(nd: int) -> list:
+    """Index pairs a <= b of n directions, row by row, diagonal first."""
+    return [(a, b) for a in range(nd) for b in range(a, nd)]
+
+
+def _symmetric(nd: int, entry) -> list:
+    """Nested n x n list whose entries (a, b) and (b, a) share entry(a, b)."""
+    m = [[None] * nd for _ in range(nd)]
+    for a, b in _pairs(nd):
+        m[a][b] = m[b][a] = entry(a, b)
+    return m
+
+
+def _cofactor(m: list, a: int, b: int):
+    """Signed minor of entry (a, b) of a nested list of per-node arrays."""
+    d = _det([row[:b] + row[b + 1:] for i, row in enumerate(m) if i != a])
+    return -d if (a + b) % 2 else d
+
+
+def _det(m: list):
+    """Determinant by cofactor expansion along the first row; 1 when empty."""
+    if len(m) < 2:
+        return m[0][0] if m else 1.0
+    return _total(m[0][j] * _cofactor(m, 0, j) for j in range(len(m)))
+
+
 def _metric(cols: list):
-    """Closed-form metric, inverse, determinant and condition number for n <= 2."""
-    if len(cols) == 1:
-        g00 = _dot(cols[0], cols[0])
-        with np.errstate(divide="ignore"):
-            return [[g00]], [[1.0 / g00]], g00, np.where(g00 > 0, 1.0, np.inf)
-    a, b, c = _dot(cols[0], cols[0]), _dot(cols[0], cols[1]), _dot(cols[1], cols[1])
-    detg, tr = a * c - b * b, a + c
-    disc = np.sqrt(np.maximum(tr * tr - 4.0 * detg, 0.0))
-    lam_max, lam_min = (tr + disc) / 2.0, (tr - disc) / 2.0
-    # a degenerate metric is reported through the condition number; the
-    # divisions may legitimately produce inf/nan before the caller raises
+    """Metric, inverse and determinant from cofactors, and the condition
+    measure tr(g) tr(g^(-1)), between the eigenvalue ratio kappa and
+    n^2 kappa; it is infinite unless det g is positive and finite."""
+    nd = len(cols)
+    g = _symmetric(nd, lambda a, b: _dot(cols[a], cols[b]))
+    cof = _symmetric(nd, lambda a, b: _cofactor(g, a, b))
+    detg = _total(g[0][j] * cof[0][j] for j in range(nd))
+    # a degenerate metric shows in cond; the divisions may give inf/nan first
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond = np.where(lam_min > 0, lam_max / lam_min, np.inf)
-        off = -b / detg
-        ginv = [[c / detg, off], [off, a / detg]]
-    return [[a, b], [b, c]], ginv, detg, cond
+        ginv = _symmetric(nd, lambda a, b: cof[a][b] / detg)
+        tr_g, tr_ginv = (_total(m[a][a] for a in range(nd)) for m in (g, ginv))
+        cond = np.where((detg > 0) & (detg < np.inf), tr_g * tr_ginv, np.inf)
+    return g, ginv, detg, cond
 
 
 def _extract(im: DiscreteImmersion) -> _Extraction:
@@ -192,14 +225,10 @@ def _extract(im: DiscreteImmersion) -> _Extraction:
         raise DegenerateGeometryError(
             f"metric condition number {worst:.3e} exceeds {CONDITION_CAP:.0e}"
         )
-    d00 = stencil_d2(grid, pos, 0, padded=pads[0])
-    if nd == 1:
-        return _Extraction(pads, cols, g, ginv, detg, [[d00]])
-    # dF/du_1 has no wrap offset and no pole sign flip, so it pads like any
-    # derived field
-    d01 = stencil_d1(grid, cols[1], 0)
-    d11 = stencil_d2(grid, pos, 1, padded=pads[1])
-    return _Extraction(pads, cols, g, ginv, detg, [[d00, d01], [d01, d11]])
+    # off the diagonal, d/du_a of dF/du_b (b > a): no wrap offset or pole flip to pad
+    d2 = _symmetric(nd, lambda a, b: stencil_d2(grid, pos, a, padded=pads[a]) if a == b
+                    else stencil_d1(grid, cols[b], a))
+    return _Extraction(pads, cols, g, ginv, detg, d2)
 
 
 def _normal_part(ext: _Extraction, v: np.ndarray) -> np.ndarray:
@@ -213,42 +242,26 @@ def _normal_part(ext: _Extraction, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _isqrt_metric(g: np.ndarray, detg: np.ndarray, n: int) -> np.ndarray:
-    """Inverse principal square root of an SPD metric, closed form for n <= 2."""
-    if n == 1:
-        return 1.0 / np.sqrt(g)
-    s = np.sqrt(detg)
-    tr = g[..., 0, 0] + g[..., 1, 1]
-    root = (g + s[..., None, None] * np.eye(2)) / np.sqrt(tr + 2.0 * s)[..., None, None]
-    out = np.empty_like(root)
-    out[..., 0, 0] = root[..., 1, 1]
-    out[..., 1, 1] = root[..., 0, 0]
-    out[..., 0, 1] = -root[..., 0, 1]
-    out[..., 1, 0] = -root[..., 1, 0]
-    return out / s[..., None, None]
+def _isqrt_metric(g: np.ndarray) -> np.ndarray:
+    """Inverse principal square root of a stack of SPD metrics, any n."""
+    lam, vec = np.linalg.eigh(g)
+    return (vec / np.sqrt(lam)[..., None, :]) @ np.swapaxes(vec, -1, -2)
 
 
 def _scalar_fields(ext: _Extraction) -> ScalarFields:
-    if len(ext.cols) == 1:
-        Hvec = ext.ginv[0][0] * _normal_part(ext, ext.d2[0][0])
-        normh2 = _dot(Hvec, Hvec)
-    else:
-        h00, h01, h11 = (_normal_part(ext, ext.d2[a][b]) for a, b in ((0, 0), (0, 1), (1, 1)))
-        (A, B), (_, C) = ext.ginv
-        # raise the first index, U^a_j = g^{ai} h_ij: its trace is H and
-        # U^a_j . U^j_a summed over (a, j) is |h|^2.  Each U^a_j is
-        # g^{a0} h_0j + g^{a1} h_1j in that order; U^1_0 and U^0_1 are built
-        # in the buffers of h00 and h01, once nothing else reads them.
-        u00 = A * h00
-        u00 += B * h01
-        u11 = B * h01
-        u11 += C * h11
-        u10 = np.multiply(B, h00, out=h00)
-        u10 += C * h01
-        u01 = np.multiply(A, h01, out=h01)
-        u01 += B * h11
-        Hvec = u00 + u11
-        normh2 = _dot(u00, u00) + 2.0 * _dot(u01, u10) + _dot(u11, u11)
+    nd, gi = len(ext.cols), ext.ginv
+    h = _symmetric(nd, lambda a, b: _normal_part(ext, ext.d2[a][b]))
+    # U^a_j = g^{ai} h_ij, summed over i in order: H = U^a_a, |h|^2 = U^a_j . U^j_a.
+    # Column j's last U^a_j reuses h_0j, its first term, which no later column reads.
+    u = [[None] * nd for _ in range(nd)]
+    for j in range(nd):
+        for a in range(nd):
+            u[a][j] = np.multiply(gi[a][0], h[0][j], out=h[0][j] if a == nd - 1 else None)
+            for i in range(1, nd):
+                u[a][j] += gi[a][i] * h[i][j]
+    Hvec = _total(u[a][a] for a in range(nd))
+    normh2 = _total(_dot(u[a][b], u[b][a]) if a == b else 2.0 * _dot(u[a][b], u[b][a])
+                    for a, b in _pairs(nd))
     return ScalarFields(pads=ext.pads, detg=ext.detg, Hvec=np.moveaxis(Hvec, 0, -1),
                         normH2=_dot(Hvec, Hvec), normh2=normh2)
 
@@ -272,10 +285,8 @@ def geometry_fields(im: DiscreteImmersion) -> GeometryFields:
     ginv = _square(ext.ginv)
     proj = np.eye(amb) - (jac @ ginv) @ np.swapaxes(jac, -1, -2)
     hvec = np.empty(im.grid.res + (nd, nd, amb))
-    for a in range(nd):
-        for b in range(a, nd):
-            hvec[..., a, b, :] = hvec[..., b, a, :] = np.einsum(
-                "...xy,y...->...x", proj, ext.d2[a][b])
+    for a, b in _pairs(nd):
+        hvec[..., a, b, :] = hvec[..., b, a, :] = np.einsum("...xy,y...->...x", proj, ext.d2[a][b])
     return GeometryFields(**vars(_scalar_fields(ext)), jac=jac, g=_square(ext.g),
                           ginv=ginv, proj=proj, hvec=hvec)
 
@@ -288,9 +299,8 @@ def mean_curvature_vector(im: DiscreteImmersion) -> np.ndarray:
     """
     ext = _extract(im)
     gi, d2 = ext.ginv, ext.d2
-    tr = gi[0][0] * d2[0][0]
-    if im.n == 2:
-        tr = tr + 2.0 * gi[0][1] * d2[0][1] + gi[1][1] * d2[1][1]
+    tr = _total(gi[a][b] * d2[a][b] if a == b else 2.0 * gi[a][b] * d2[a][b]
+                for a, b in _pairs(im.n))
     return np.moveaxis(_normal_part(ext, tr), 0, -1)
 
 
@@ -327,7 +337,7 @@ def point_curvature_field(im: DiscreteImmersion, gf: GeometryFields | None = Non
     if gf is None:
         gf = geometry_fields(im)
     frames = normal_frame(gf.jac)
-    isq = _isqrt_metric(gf.g, gf.detg, im.n)
+    isq = _isqrt_metric(gf.g)
     hadapt = np.einsum("...ip,...jq,...pqx,...xa->...ija", isq, isq, gf.hvec, frames)
     return hadapt, frames
 

@@ -64,16 +64,15 @@ class SolutionSpec:
     """Parameters selecting a seed solution with a mesh representation.
 
     kind is one of Sphere, Cylinder, Veronese, TorusSeed; the spherical caps
-    have none and are tracked by :func:`cap_radius` alone.  ``m`` is the flat
-    factor dimension (Cylinder only); ``perturb_amp`` / ``perturb_mode`` add
-    a radial sectoral-harmonic perturbation to sphere seeds.
+    have none and are tracked by :func:`cap_radius` alone.  A Cylinder seed
+    has one flat factor; ``perturb_amp`` / ``perturb_mode`` add a radial
+    sectoral-harmonic perturbation to sphere seeds.
     """
 
     kind: str
     n: int = 2
     k: int = 1
     radius: float = 1.0
-    m: int = 1
     flat_length: float = 2.0 * math.pi
     perturb_amp: float = 0.0
     perturb_mode: int = 2
@@ -84,8 +83,6 @@ class SolutionSpec:
             raise ValueError(f"unknown solution kind {self.kind!r}; expected one of {kinds}")
         if self.n < 1 or self.k < 1:
             raise ValueError("n and k must be positive")
-        if self.kind == "Cylinder" and not (1 <= self.m < self.n):
-            raise ValueError("cylinder flat factor requires 1 <= m < n")
         if self.kind == "Veronese" and (self.n, self.k) != (2, 3):
             raise ValueError("the Veronese solution forces n=2, k=3")
         if not 0 < self.radius < math.inf:
@@ -233,9 +230,9 @@ def seed_immersion(spec: SolutionSpec, grid: ParamGrid, t: float) -> DiscreteImm
         return DiscreteImmersion(grid=grid, n=2, k=3, positions=pos, t=t)
 
     if spec.kind == "Cylinder":
-        if grid.topology != "Torus2" or spec.n != 2 or spec.m != 1:
-            raise ValueError("discrete cylinder seeds support n=2, m=1 on Torus2 grids")
-        R = spec.radius if t >= 0 else cylinder_law(spec.n, spec.m, t).R
+        if grid.topology != "Torus2" or spec.n != 2:
+            raise ValueError("discrete cylinder seeds support n=2 on Torus2 grids")
+        R = spec.radius if t >= 0 else cylinder_law(2, 1, t).R
         n0, n1 = grid.res
         th = np.arange(n0) * grid.spacing[0]
         s = np.arange(n1) * grid.spacing[1]

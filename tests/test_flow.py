@@ -2,6 +2,7 @@
 functionals along runs, classification, and the rescaling transforms."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -63,7 +64,7 @@ class TestStep:
 
     def test_flat_directions_do_not_move(self):
         grid = ParamGrid("Torus2", (32, 16))
-        spec = SolutionSpec(kind="Cylinder", n=2, k=1, m=1, radius=1.0, flat_length=4.0)
+        spec = SolutionSpec(kind="Cylinder", n=2, k=1, radius=1.0, flat_length=4.0)
         im = seed_immersion(spec, grid, 0.0)
         out = step(im, 1e-4)
         assert np.abs(out.positions[..., 2] - im.positions[..., 2]).max() <= 1e-12
@@ -146,7 +147,7 @@ class TestCflDt:
             im = sphere_seed((16, 32), k=2, amp=0.05, mode=3)
         elif case == "cylinder":
             grid = ParamGrid("Torus2", (16, 16))
-            spec = SolutionSpec(kind="Cylinder", n=2, k=1, m=1, flat_length=3.5)
+            spec = SolutionSpec(kind="Cylinder", n=2, k=1, flat_length=3.5)
             im = seed_immersion(spec, grid, 0.25)
             assert im.wrap_offsets
         else:
@@ -417,6 +418,17 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="strictly increasing"):
             Trajectory(diagnostics=traj.diagnostics[::-1], mode="Ancient")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_times_must_be_finite(self, bad):
+        # NaN compares false both ways: 0, nan, -1 passes a pairwise b <= a test
+        _, traj = law_trajectory(count=3)
+        first, middle, last = traj.diagnostics
+        for records in ([first, replace(middle, t=bad), replace(last, t=first.t - 1.0)],
+                        [replace(first, t=bad), middle, last],
+                        [first, middle, replace(last, t=bad)]):
+            with pytest.raises(ValueError, match="finite and strictly increasing"):
+                Trajectory(diagnostics=records, mode="Ancient")
+
     @pytest.mark.parametrize("T", ["0.25", math.nan, math.inf, True])
     def test_singular_time_must_be_null_or_finite(self, T):
         _, traj = law_trajectory(count=3)
@@ -496,7 +508,6 @@ class TestAreaDecayFit:
         traj = synthetic_trajectory(ts, h2)
         recs = [r for r in traj.diagnostics]
         # synthetic records carry nan areas; build a usable copy
-        from dataclasses import replace
         traj.diagnostics[:] = [replace(r, area=(-r.t) ** 1.5) for r in recs]
         c, r = fit_area_decay(traj, window=(-8.0, -2.0))
         assert r == pytest.approx(1.5, abs=1e-6)

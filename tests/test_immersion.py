@@ -106,7 +106,7 @@ def _seed(topology, res, spec, t=0.0):
 KERNEL_CASES = {
     "circle": lambda: _seed("Circle", (64,), SolutionSpec(kind="Sphere", n=1, k=2, radius=2.0)),
     "cylinder": lambda: _seed("Torus2", (16, 16), SolutionSpec(
-        kind="Cylinder", n=2, k=1, m=1, flat_length=3.5), t=0.25),
+        kind="Cylinder", n=2, k=1, flat_length=3.5), t=0.25),
     "sphere-k1": lambda: unit_sphere((16, 32), k=1),
     "sphere-k2": lambda: unit_sphere((16, 32), k=2),
     "veronese": lambda: _seed("LatLongSphere", (24, 48), SolutionSpec(kind="Veronese", n=2, k=3)),
@@ -145,6 +145,87 @@ class TestExtractionKernels:
             # offset (the flat direction's errors show in det g, not in h)
             for field in (sf.normH2, sf.normh2, sf.detg):
                 assert np.ptp(field) <= 1e-12 * field.max()
+
+
+def close(got, want, rtol=1e-12):
+    """Entrywise within rtol of the largest reference entry."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+class TestCoreAnyN:
+    """The extraction core's index loops at n = 3 and n = 4, where no
+    topology seeds an immersion yet, on hand-built per-node fields stored
+    components first, (n+k, *res)."""
+
+    RES = (5, 6)
+
+    def columns(self, n, k=2, seed=0):
+        """dF/du_a near the first n coordinate vectors, so every metric is
+        well conditioned."""
+        rng = np.random.default_rng(seed + n)
+        eye = np.eye(n + k)
+        return [eye[a].reshape((-1,) + (1,) * len(self.RES))
+                + 0.4 * rng.standard_normal((n + k,) + self.RES) for a in range(n)]
+
+    @staticmethod
+    def dense(cols):
+        jac = np.stack([np.moveaxis(c, 0, -1) for c in cols], axis=-1)     # (*res, n+k, n)
+        return jac, np.swapaxes(jac, -1, -2) @ jac
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_metric_matches_dense_linear_algebra(self, n):
+        cols = self.columns(n)
+        g, ginv, detg, cond = immersion._metric(cols)
+        _, dense = self.dense(cols)
+        assert close(immersion._square(g), dense)
+        assert close(detg, np.linalg.det(dense))
+        assert close(immersion._square(ginv), np.linalg.inv(dense))
+        lam = np.linalg.eigvalsh(dense)
+        kappa = lam[..., -1] / lam[..., 0]
+        assert np.all(cond >= kappa * (1 - 1e-12))
+        assert np.all(cond <= n * n * kappa * (1 + 1e-12))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("scale", [1e-100, 1e100], ids=["det-underflows", "det-overflows"])
+    def test_metric_whose_det_is_not_positive_and_finite_reads_infinite(self, n, scale):
+        # g = scale^2 I is a normal number; det g = scale^(2n) is not: it
+        # underflows to 0, or g_00 g_11 overflows while g_01 = 0 (at n = 4
+        # the overflowing minors meet zeros, and det g is NaN)
+        eye = np.eye(n + 2)
+        cols = [scale * eye[a].reshape(-1, 1, 1) * np.ones((1,) + self.RES) for a in range(n)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            g, _, detg, cond = immersion._metric(cols)
+        assert np.all(np.isfinite(g[0][0])) and np.all(g[0][0] > 0) and np.all(g[0][1] == 0)
+        assert not np.any((detg > 0) & (detg < np.inf))
+        assert np.all(cond == np.inf)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_scalar_fields_match_dense_contractions(self, n):
+        cols = self.columns(n, seed=10)
+        g, ginv, detg, _ = immersion._metric(cols)
+        rng = np.random.default_rng(20 + n)
+        d2 = [[None] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a, n):
+                d2[a][b] = d2[b][a] = rng.standard_normal(cols[0].shape)
+        before = [[v.copy() for v in row] for row in d2]
+        sf = immersion._scalar_fields(immersion._Extraction((), cols, g, ginv, detg, d2))
+
+        jac, dense = self.dense(cols)
+        gi = np.linalg.inv(dense)
+        proj = np.eye(n + 2) - jac @ gi @ np.swapaxes(jac, -1, -2)
+        d = np.stack([np.stack([np.moveaxis(v, 0, -1) for v in row], axis=-2) for row in d2],
+                     axis=-3)                                           # (*res, n, n, n+k)
+        pd = np.einsum("...xy,...ijy->...ijx", proj, d)
+        H = np.einsum("...ij,...ijx->...x", gi, pd)
+        normh2 = np.einsum("...ik,...jl,...ijx,...klx->...", gi, gi, pd, pd)
+        assert close(sf.Hvec, H)
+        assert close(sf.normH2, np.einsum("...x,...x->...", H, H))
+        assert close(sf.normh2, normh2)
+        assert sf.detg is detg
+        # the second derivatives are read, not overwritten
+        assert all(np.array_equal(v, w) for r, q in zip(d2, before) for v, w in zip(r, q))
 
 
 class TestNormalFrame:
@@ -415,7 +496,7 @@ class TestSnapshots:
 
     def test_cylinder_wrap_offset_round_trip(self, tmp_path):
         grid = ParamGrid("Torus2", (16, 16))
-        spec = SolutionSpec(kind="Cylinder", n=2, k=1, m=1, flat_length=3.5)
+        spec = SolutionSpec(kind="Cylinder", n=2, k=1, flat_length=3.5)
         im = seed_immersion(spec, grid, 0.25)
         path = tmp_path / "cyl.txt"
         save_snapshot(im, path)

@@ -246,7 +246,7 @@ KERNEL_CASES = {
     "veronese": lambda: _seed("LatLongSphere", (24, 48), SolutionSpec(kind="Veronese", n=2, k=3),
                               t=-1.0),
     "cylinder-wrap-offset": lambda: _seed("Torus2", (16, 16), SolutionSpec(
-        kind="Cylinder", n=2, k=1, m=1, flat_length=3.5), t=0.25),
+        kind="Cylinder", n=2, k=1, flat_length=3.5), t=0.25),
     "circle-k2": lambda: _seed("Circle", (64,), SolutionSpec(kind="Sphere", n=1, k=2, radius=2.0)),
 }
 

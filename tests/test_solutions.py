@@ -211,7 +211,7 @@ class TestSeedImmersion:
 
     def test_cylinder_wrap_offset(self):
         grid = ParamGrid("Torus2", (16, 16))
-        spec = SolutionSpec(kind="Cylinder", n=2, k=1, m=1, radius=1.0, flat_length=5.0)
+        spec = SolutionSpec(kind="Cylinder", n=2, k=1, radius=1.0, flat_length=5.0)
         im = seed_immersion(spec, grid, 0.0)
         assert im.wrap_offsets is not None
         assert im.wrap_offsets[1][2] == 5.0

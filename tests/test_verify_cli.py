@@ -137,10 +137,17 @@ class TestCliSimulate:
         assert json.loads((out / "manifest.json").read_text())["stop_reason"] == "t_end"
 
     @pytest.mark.parametrize("argv", [
-        ("--t-end", "0.01", "--radius", "1e-160"),          # a stage turns non-finite
+        ("--t-end", "0.01"),                                   # a stage turns non-finite
         ("--t0", "-1", "--t-end", "-0.9", "--cfl", "1e-300"),  # dt below the ulp of t
     ])
-    def test_stalled_or_non_finite_run_ends_degenerate(self, tmp_path, capsys, argv):
+    def test_stalled_or_non_finite_run_ends_degenerate(self, tmp_path, capsys, monkeypatch,
+                                                       argv):
+        # every later RK stage's velocity is NaN: the first run's step turns
+        # non-finite after the seed is recorded; the second stalls before any
+        # stage is taken
+        import mcflow.flow
+        monkeypatch.setattr(mcflow.flow, "mean_curvature_vector",
+                            lambda im: np.full(im.positions.shape, np.nan))
         out = tmp_path / "run"
         code = run_cli("simulate", "--spec", "sphere", "--grid", "16x32", "--max-steps", "20",
                        *argv, "--out", str(out))
@@ -151,6 +158,19 @@ class TestCliSimulate:
         assert manifest["stop_reason"] == "degenerate"
         assert manifest["outputs"] == ["snap_000000.txt", "diagnostics.csv"]
         assert all((out / name).exists() for name in manifest["outputs"])
+
+    @pytest.mark.parametrize("radius", ["1e-160", "1e300"])
+    def test_seed_whose_det_g_underflows_or_overflows_is_refused(self, tmp_path, capsys,
+                                                                 radius):
+        # the 1e-160 sphere's metric is about 1e-321 and its det g is 0
+        out = tmp_path / "run"
+        code = run_cli("simulate", "--spec", "sphere", "--grid", "16x32", "--t-end", "0.01",
+                       "--radius", radius, "--out", str(out))
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("degenerate geometry:") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("radius", ["1e-160", "1e300"])
     def test_degenerate_run_prints_no_warning(self, tmp_path, capsys, radius):
@@ -568,6 +588,53 @@ class TestCliReport:
         assert run_cli("report", "--in", str(run_dir), "--classify") == 65
         err = capsys.readouterr().err
         assert err.startswith("data error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda row: row + ",999", "line 3: 11 fields, the header 10"),
+        (lambda row: row.rsplit(",", 1)[0] + ",abc", "line 3: could not convert string"),
+    ], ids=["extra-field", "not-a-number"])
+    def test_diagnostics_row_that_does_not_parse_is_named(self, run_dir, capsys, edit,
+                                                          message):
+        path = run_dir / "diagnostics.csv"
+        lines = path.read_text().splitlines()
+        lines[2] = edit(lines[2])
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("report", "--in", str(run_dir), "--fit-area-decay") == 65
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and err.count("\n") == 1
+        assert message in err
+        assert not (run_dir / "area_fit.csv").exists()
+
+    @pytest.mark.parametrize("source", ["flags", "file"])
+    @pytest.mark.parametrize("argv,option", [
+        (("--n-tau=5",), "--n-tau"),
+        (("--rescale=type2", "--tj=-0.2"), "--tj"),
+        (("--rescale=type2", "--n-tau=5"), "--n-tau"),
+        (("--classify", "--fit-window=-0.2:-0.13"), "--fit-window"),
+        (("--rescale=type2", "--fit-window=-0.2:-0.13"), "--fit-window"),
+    ])
+    def test_option_no_requested_analysis_reads_is_usage_error(self, run_dir, tmp_path, capsys,
+                                                               source, argv, option):
+        """``--tj`` and ``--n-tau`` need ``--rescale type1``, ``--fit-window``
+        needs ``--fit-area-decay``: without it the option is refused before
+        the run is read or an earlier report's output is removed."""
+        assert run_cli("report", "--in", str(run_dir), "--rescale", "type2") == 0
+        sub = run_dir / "rescale_type2"
+        before = {p.name: p.read_bytes() for p in sub.iterdir()}
+        if source == "file":
+            cfg = tmp_path / "report.cfg"
+            cfg.write_text("".join(f"{key[2:].replace('-', '_')}={value or 1}\n"
+                                   for key, _, value in (tok.partition("=") for tok in argv)))
+            argv = ("--config", str(cfg))
+        capsys.readouterr()
+        for target in (run_dir, tmp_path / "absent"):
+            assert run_cli("report", "--in", str(target), *argv) == 64
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage error: {option} applies only with ")
+            assert err.count("\n") == 1
+        assert {p.name: p.read_bytes() for p in sub.iterdir()} == before
+        assert not (run_dir / "classify.csv").exists()
 
     def test_bad_fit_window_is_usage_error(self, run_dir, capsys):
         capsys.readouterr()
