@@ -7,8 +7,8 @@ public arrays are (*res, n+k), but extraction works components first,
 not C-ordered copies.  All extraction starts from one core, the same index
 loops for every n: ghost-padded positions, fourth-order central differences
 for the Jacobian and d2F/du_a du_b, and g = jac^T jac with det g and g^(-1)
-from cofactors.  A node whose tr(g) tr(g^(-1)) passes 1e12, or whose det g is
-not positive and finite (an underflow too), fails the condition check.  On it
+from cofactors.  A node whose tr(g) tr(g^(-1)) passes 1e12, or whose det g
+is 0, negative, subnormal or not finite, fails the condition check.  On it
 sit ``mean_curvature_vector`` (the velocity alone), ``scalar_fields`` (H,
 |H|^2, |h|^2, det g: the flow's per-step kernel, which projects each second
 derivative without forming P = I - jac g^(-1) jac^T) and ``geometry_fields``
@@ -199,7 +199,7 @@ def _det(m: list):
 def _metric(cols: list):
     """Metric, inverse and determinant from cofactors, and the condition
     measure tr(g) tr(g^(-1)), between the eigenvalue ratio kappa and
-    n^2 kappa; it is infinite unless det g is positive and finite."""
+    n^2 kappa; it is infinite unless det g is a positive, finite normal double."""
     nd = len(cols)
     g = _symmetric(nd, lambda a, b: _dot(cols[a], cols[b]))
     cof = _symmetric(nd, lambda a, b: _cofactor(g, a, b))
@@ -208,7 +208,7 @@ def _metric(cols: list):
     with np.errstate(divide="ignore", invalid="ignore"):
         ginv = _symmetric(nd, lambda a, b: cof[a][b] / detg)
         tr_g, tr_ginv = (_total(m[a][a] for a in range(nd)) for m in (g, ginv))
-        cond = np.where((detg > 0) & (detg < np.inf), tr_g * tr_ginv, np.inf)
+        cond = np.where((detg >= np.finfo(float).tiny) & (detg < np.inf), tr_g * tr_ginv, np.inf)
     return g, ginv, detg, cond
 
 

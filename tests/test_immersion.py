@@ -187,17 +187,23 @@ class TestCoreAnyN:
         assert np.all(cond <= n * n * kappa * (1 + 1e-12))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    @pytest.mark.parametrize("scale", [1e-100, 1e100], ids=["det-underflows", "det-overflows"])
+    @pytest.mark.parametrize("scale", [1e-100, None, 1e100],
+                             ids=["det-underflows", "det-subnormal", "det-overflows"])
     def test_metric_whose_det_is_not_positive_and_finite_reads_infinite(self, n, scale):
         # g = scale^2 I is a normal number; det g = scale^(2n) is not: it
-        # underflows to 0, or g_00 g_11 overflows while g_01 = 0 (at n = 4
-        # the overflowing minors meet zeros, and det g is NaN)
+        # underflows to 0 or below the smallest normal double (about 1e-310,
+        # with a few significant bits), or g_00 g_11 overflows while g_01 = 0
+        # (at n = 4 the overflowing minors meet zeros, and det g is NaN)
+        subnormal = scale is None
+        if subnormal:
+            scale = 1e-310 ** (1 / (2 * n))
         eye = np.eye(n + 2)
         cols = [scale * eye[a].reshape(-1, 1, 1) * np.ones((1,) + self.RES) for a in range(n)]
         with np.errstate(over="ignore", invalid="ignore"):
             g, _, detg, cond = immersion._metric(cols)
         assert np.all(np.isfinite(g[0][0])) and np.all(g[0][0] > 0) and np.all(g[0][1] == 0)
-        assert not np.any((detg > 0) & (detg < np.inf))
+        assert not np.any((detg >= np.finfo(float).tiny) & (detg < np.inf))
+        assert np.all(detg > 0) if subnormal else not np.any((detg > 0) & (detg < np.inf))
         assert np.all(cond == np.inf)
 
     @pytest.mark.parametrize("n", [3, 4])

@@ -136,18 +136,18 @@ class TestCliSimulate:
                        "--blowup-cap", "inf", "--out", str(out)) == 0
         assert json.loads((out / "manifest.json").read_text())["stop_reason"] == "t_end"
 
-    @pytest.mark.parametrize("argv", [
-        ("--t-end", "0.01"),                                   # a stage turns non-finite
-        ("--t0", "-1", "--t-end", "-0.9", "--cfl", "1e-300"),  # dt below the ulp of t
-    ])
+    @pytest.mark.parametrize("argv,nan_stage", [
+        (("--t-end", "0.01"), True),                                   # a stage turns non-finite
+        (("--t0", "-1", "--t-end", "-0.9", "--cfl", "1e-300"), False),  # dt below the ulp of t
+    ], ids=["argv0", "argv1"])
     def test_stalled_or_non_finite_run_ends_degenerate(self, tmp_path, capsys, monkeypatch,
-                                                       argv):
-        # every later RK stage's velocity is NaN: the first run's step turns
-        # non-finite after the seed is recorded; the second stalls before any
-        # stage is taken
-        import mcflow.flow
-        monkeypatch.setattr(mcflow.flow, "mean_curvature_vector",
-                            lambda im: np.full(im.positions.shape, np.nan))
+                                                       argv, nan_stage):
+        if nan_stage:
+            # every later RK stage's velocity is NaN, so the first step turns
+            # non-finite after the seed is recorded; the stall row runs unpatched
+            import mcflow.flow
+            monkeypatch.setattr(mcflow.flow, "mean_curvature_vector",
+                                lambda im: np.full(im.positions.shape, np.nan))
         out = tmp_path / "run"
         code = run_cli("simulate", "--spec", "sphere", "--grid", "16x32", "--max-steps", "20",
                        *argv, "--out", str(out))
@@ -159,10 +159,12 @@ class TestCliSimulate:
         assert manifest["outputs"] == ["snap_000000.txt", "diagnostics.csv"]
         assert all((out / name).exists() for name in manifest["outputs"])
 
-    @pytest.mark.parametrize("radius", ["1e-160", "1e300"])
+    @pytest.mark.parametrize("radius", ["1e-160", "1e-78", "1e300"])
     def test_seed_whose_det_g_underflows_or_overflows_is_refused(self, tmp_path, capsys,
                                                                  radius):
-        # the 1e-160 sphere's metric is about 1e-321 and its det g is 0
+        # the 1e-160 sphere's metric is about 1e-321 and its det g is 0; the
+        # 1e-78 sphere's det g is below the smallest normal double, where its
+        # inverse would rest on a few significant bits
         out = tmp_path / "run"
         code = run_cli("simulate", "--spec", "sphere", "--grid", "16x32", "--t-end", "0.01",
                        "--radius", radius, "--out", str(out))
@@ -172,7 +174,7 @@ class TestCliSimulate:
         assert captured.out == ""
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("radius", ["1e-160", "1e300"])
+    @pytest.mark.parametrize("radius", ["1e-160", "1e-78", "1e300"])
     def test_degenerate_run_prints_no_warning(self, tmp_path, capsys, radius):
         # pytest records numpy's RuntimeWarnings instead of printing them;
         # raised as errors, one that reached the run would end it in a traceback
